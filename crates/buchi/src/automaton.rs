@@ -233,7 +233,7 @@ impl Buchi {
     /// equally across processes and runs — unlike `std`'s randomized
     /// `DefaultHasher` — so the value can key caches and appear in
     /// reproducible logs. Collisions are possible; callers that need
-    /// exactness must confirm with `==` (see `ComplementCache`).
+    /// exactness must confirm with `==` (see `QuotientCache`).
     #[must_use]
     pub fn structural_hash(&self) -> u64 {
         // FNV-1a over a canonical u64 stream, with length prefixes so

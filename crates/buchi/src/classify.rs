@@ -16,28 +16,28 @@
 
 use crate::automaton::Buchi;
 use crate::closure::closure;
-use crate::complement::ComplementBudgetExceeded;
-use crate::incl::{included, universal};
+use crate::antichain::included;
+use crate::incl::universal;
+use crate::interned::shared_quotient_cache;
 pub use sl_lattice::Classification;
+use sl_support::SlError;
 
 /// Whether `L(b)` is a safety property (`lcl L = L`).
 ///
 /// # Errors
 ///
-/// Propagates [`ComplementBudgetExceeded`] from the inclusion check.
-pub fn is_safety(b: &Buchi) -> Result<bool, ComplementBudgetExceeded> {
-    Ok(included(&closure(b), b)?.holds())
+/// Propagates the inclusion search's [`SlError::BudgetExceeded`].
+pub fn is_safety(b: &Buchi) -> Result<bool, SlError> {
+    Ok(included(&closure(b), b, shared_quotient_cache(), None)?.holds())
 }
 
 /// Whether `L(b)` is a liveness property (`lcl L = Σ^ω`).
 ///
 /// # Errors
 ///
-/// Propagates [`ComplementBudgetExceeded`] (the closure is
-/// all-accepting, so in practice this uses the cheap subset complement
-/// and cannot exceed reasonable budgets).
-pub fn is_liveness(b: &Buchi) -> Result<bool, ComplementBudgetExceeded> {
-    Ok(universal(&closure(b))?.is_ok())
+/// Propagates the universality search's [`SlError::BudgetExceeded`].
+pub fn is_liveness(b: &Buchi) -> Result<bool, SlError> {
+    Ok(universal(&closure(b), shared_quotient_cache(), None)?.is_ok())
 }
 
 /// Classifies `L(b)` into the paper's trichotomy (with "both" for
@@ -45,8 +45,8 @@ pub fn is_liveness(b: &Buchi) -> Result<bool, ComplementBudgetExceeded> {
 ///
 /// # Errors
 ///
-/// Propagates [`ComplementBudgetExceeded`].
-pub fn classify(b: &Buchi) -> Result<Classification, ComplementBudgetExceeded> {
+/// Propagates [`SlError::BudgetExceeded`] from either check.
+pub fn classify(b: &Buchi) -> Result<Classification, SlError> {
     let safe = is_safety(b)?;
     let live = is_liveness(b)?;
     Ok(match (safe, live) {

@@ -20,10 +20,12 @@
 use crate::automaton::Buchi;
 use crate::classify::{is_liveness, is_safety};
 use crate::closure::closure;
-use crate::complement::{complement_safety, ComplementBudgetExceeded};
+use crate::complement::complement_safety;
 use crate::incl::equivalent;
+use crate::interned::shared_quotient_cache;
 use crate::ops::{intersection, union};
 use sl_omega::{all_lassos, LassoWord};
+use sl_support::SlError;
 
 /// The two components of the decomposition, plus the complement used.
 #[derive(Debug, Clone)]
@@ -66,9 +68,9 @@ impl BuchiDecomposition {
     ///
     /// # Errors
     ///
-    /// Propagates [`ComplementBudgetExceeded`] from the equivalence and
+    /// Propagates [`SlError::BudgetExceeded`] from the equivalence and
     /// safety checks on larger automata.
-    pub fn verify_exact(&self, b: &Buchi) -> Result<bool, ComplementBudgetExceeded> {
+    pub fn verify_exact(&self, b: &Buchi) -> Result<bool, SlError> {
         if !is_safety(&self.safety)? {
             return Ok(false);
         }
@@ -76,7 +78,7 @@ impl BuchiDecomposition {
             return Ok(false);
         }
         let both = intersection(&self.safety, &self.liveness);
-        Ok(equivalent(b, &both)?.is_ok())
+        Ok(equivalent(b, &both, shared_quotient_cache(), None)?.is_ok())
     }
 }
 
@@ -188,6 +190,8 @@ mod tests {
         let m = p3(&s);
         let d = decompose(&m);
         let cl = closure(&m);
-        assert!(equivalent(&d.safety, &cl).unwrap().is_ok());
+        assert!(equivalent(&d.safety, &cl, shared_quotient_cache(), None)
+            .unwrap()
+            .is_ok());
     }
 }

@@ -61,14 +61,7 @@ pub mod ops;
 pub mod random;
 pub mod reduce;
 
-pub use antichain::{
-    antichain_stats, equivalent_antichain, equivalent_antichain_budgeted, equivalent_onthefly,
-    equivalent_onthefly_budgeted, equivalent_onthefly_budgeted_with_cache,
-    equivalent_onthefly_with_cache, included_antichain, included_antichain_budgeted,
-    included_onthefly, included_onthefly_budgeted, included_onthefly_budgeted_with_cache,
-    included_onthefly_with_cache, universal_antichain, universal_onthefly,
-    universal_onthefly_with_cache, AntichainStats, DEFAULT_ANTICHAIN_BUDGET,
-};
+pub use antichain::{antichain_stats, included, AntichainStats, DEFAULT_ANTICHAIN_BUDGET};
 pub use automaton::{Buchi, BuchiBuilder, StateId};
 pub use classify::{classify, is_liveness, is_safety, Classification};
 pub use closure::{closure, is_closure_shaped, live_states};
@@ -79,16 +72,12 @@ pub use complement::{
 pub use decompose::{decompose, BuchiDecomposition};
 pub use empty::{find_accepted_word, is_empty};
 pub use incl::{
-    engine_stats, equivalent, equivalent_budgeted, equivalent_rank, equivalent_rank_with_cache,
-    incl_engine, included, included_budgeted, included_rank, included_rank_budgeted,
-    included_rank_with_cache, included_with_complement, reset_shared_complement_cache,
-    shared_complement_cache_stats, universal, universal_rank, universal_rank_with_cache,
-    ComplementCache, ComplementCacheStats, EngineStats, InclEngine, Inclusion,
+    equivalent, equivalent_rank, included_onthefly_with_cache, included_rank,
+    included_with_complement, universal, universal_rank, Inclusion,
 };
 pub use interned::{
-    reset_shared_quotient_cache, scratch_quotient, shared_quotient_cache,
-    shared_quotient_cache_stats, AdvanceReport, InternedGraph, InternedNode, QuotientCache,
-    QuotientCacheStats,
+    scratch_quotient, shared_quotient_cache, AdvanceReport, InternedGraph, InternedNode,
+    QuotientCache, QuotientCacheStats,
 };
 pub use member::{accepts, BuchiProperty};
 pub use monitor::{Monitor, SecurityAutomaton, Verdict};

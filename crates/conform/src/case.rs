@@ -74,7 +74,7 @@ pub struct InclCase {
     pub budget: Option<u64>,
 }
 
-/// Three-engine inclusion case (oracle `incl3`): two automata plus a
+/// Bigger-pair inclusion case (oracle `incl3`): two automata plus a
 /// seeded mutation sequence for the incremental-vs-scratch quotient
 /// differential. `steps` edits of the left automaton are drawn from
 /// `seed`, and after every edit the incrementally advanced interned
@@ -254,10 +254,10 @@ pub struct CrashCase {
 /// One conformance case, tagged with the oracle that judges it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Case {
-    /// Antichain-vs-rank differential (oracle `incl`).
+    /// On-the-fly-vs-rank differential (oracle `incl`).
     Incl(InclCase),
-    /// Three-engine (on-the-fly / antichain / rank) differential with
-    /// an incremental-vs-scratch quotient drill (oracle `incl3`).
+    /// On-the-fly-vs-rank differential on bigger pairs with an
+    /// incremental-vs-scratch quotient drill (oracle `incl3`).
     Incl3(Incl3Case),
     /// Theorems 2/3/5/6/7 on a generated lattice (oracle `lattice`).
     Lattice(LatticeCase),

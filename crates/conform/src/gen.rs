@@ -95,11 +95,10 @@ pub fn gen_incl(rng: &mut SplitMix) -> InclCase {
     }
 }
 
-/// Three-engine inclusion case: bigger automata than [`gen_incl`] (the
-/// on-the-fly and eager antichain engines are polynomial per macro
-/// state, and the rank oracle skips itself via its complement budget
-/// when a pair is out of reach), plus a seeded mutation sequence for
-/// the incremental-vs-scratch quotient differential.
+/// Bigger-pair inclusion case: bigger automata than [`gen_incl`] (the
+/// on-the-fly engine is polynomial per macro state, and the rank oracle
+/// joins only on pairs of at most 6 states), plus a seeded mutation
+/// sequence for the incremental-vs-scratch quotient differential.
 pub fn gen_incl3(rng: &mut SplitMix) -> Incl3Case {
     let alphabet = gen_alphabet(rng);
     let left = gen_buchi(rng, &alphabet, MAX_STATES + 2);

@@ -2,7 +2,7 @@
 //!
 //! The workspace carries several independent implementations of the
 //! same lattice-theoretic facts from Manolios & Trefler's PODC 2003
-//! characterization: rank-based vs antichain inclusion, offline
+//! characterization: rank-based vs on-the-fly inclusion, offline
 //! classify/decompose vs the incremental monitor, direct structures vs
 //! HOA round-trips, cached vs uncached daemon queries. Because the
 //! paper's Theorems 2/3 (decomposition), 5 (impossibility), and 6/7

@@ -10,7 +10,8 @@
 //!
 //! The laws are the paper's universally-quantified theorems plus the
 //! engine-equivalence contracts the workspace already promises:
-//! antichain and rank inclusion agree (with validated witnesses),
+//! the on-the-fly inclusion engine and the rank oracle agree (with
+//! validated witnesses),
 //! classify/decompose satisfy Theorems 2/3/5/6/7 on every generated
 //! lattice, `to_hoa ∘ from_hoa` is the identity with stable
 //! diagnostics, monitor verdict prefixes match an independent
@@ -24,11 +25,9 @@ use crate::case::{
     Case, CrashCase, HoaCase, Incl3Case, InclCase, LatticeCase, MonitorCase, PdrCase, SessionCase,
 };
 use sl_buchi::{
-    accepts, closure, equivalent_antichain, equivalent_onthefly, equivalent_rank, hoa,
-    included_antichain, included_antichain_budgeted, included_onthefly,
-    included_onthefly_budgeted_with_cache, included_rank, live_states, scratch_quotient,
-    universal_antichain, universal_onthefly, universal_rank, Buchi, BuchiBuilder, CompiledMonitor,
-    Inclusion, InternedGraph, Monitor, QuotientCache, Verdict,
+    accepts, closure, equivalent, equivalent_rank, hoa, included, included_rank, live_states,
+    scratch_quotient, shared_quotient_cache, universal, universal_rank, Buchi, BuchiBuilder,
+    CompiledMonitor, Inclusion, InternedGraph, Monitor, QuotientCache, Verdict,
 };
 use sl_lattice::{
     classify, decompose, decompose_pair_checked, no_decomposition_exists, theorem5_applies,
@@ -93,7 +92,7 @@ pub fn parse_states(text: &str) -> usize {
 }
 
 // ---------------------------------------------------------------------
-// Oracle 1: antichain vs rank inclusion
+// Oracle 1: on-the-fly engine vs rank oracle
 // ---------------------------------------------------------------------
 
 fn parse_pair(left: &str, right: &str) -> Result<(Buchi, Buchi), Outcome> {
@@ -125,8 +124,11 @@ fn check_incl(c: &InclCase) -> Outcome {
         Ok(pair) => pair,
         Err(outcome) => return outcome,
     };
-    // Differential: both engines on a ⊆ b.
-    let fast = included_antichain(&a, &b);
+    // A fresh quotient cache per case, so every case runs the full
+    // trim + quotient + search pipeline on its own.
+    let cache = QuotientCache::new();
+    // Differential: engine vs oracle on a ⊆ b.
+    let fast = included(&a, &b, &cache, None);
     let slow = included_rank(&a, &b);
     match (&fast, &slow) {
         (Ok(fa), Ok(sl)) => {
@@ -135,11 +137,11 @@ fn check_incl(c: &InclCase) -> Outcome {
                 matches!(sl, Inclusion::Holds),
             );
             if fh != sh {
-                fail!("engines disagree on inclusion: antichain={fa:?} rank={sl:?}");
+                fail!("engines disagree on inclusion: onthefly={fa:?} rank={sl:?}");
             }
             if let Inclusion::CounterExample(w) = fa {
                 if let Err(msg) = valid_cex(&a, &b, w) {
-                    fail!("antichain {msg}");
+                    fail!("onthefly {msg}");
                 }
             }
             if let Inclusion::CounterExample(w) = sl {
@@ -148,13 +150,13 @@ fn check_incl(c: &InclCase) -> Outcome {
                 }
             }
         }
-        _ => return Outcome::Accepted("complement budget exceeded"),
+        _ => return Outcome::Accepted("inclusion budget exceeded"),
     }
-    // Differential: both engines on universality of a.
-    match (universal_antichain(&a), universal_rank(&a)) {
+    // Differential: engine vs oracle on universality of a.
+    match (universal(&a, &cache, None), universal_rank(&a)) {
         (Ok(fa), Ok(sl)) => {
             if fa.is_ok() != sl.is_ok() {
-                fail!("engines disagree on universality: antichain={fa:?} rank={sl:?}");
+                fail!("engines disagree on universality: onthefly={fa:?} rank={sl:?}");
             }
             for w in [fa.err(), sl.err()].into_iter().flatten() {
                 if accepts(&a, &w) {
@@ -162,13 +164,13 @@ fn check_incl(c: &InclCase) -> Outcome {
                 }
             }
         }
-        _ => return Outcome::Accepted("complement budget exceeded"),
+        _ => return Outcome::Accepted("inclusion budget exceeded"),
     }
-    // Differential: both engines on equivalence.
-    match (equivalent_antichain(&a, &b), equivalent_rank(&a, &b)) {
+    // Differential: engine vs oracle on equivalence.
+    match (equivalent(&a, &b, &cache, None), equivalent_rank(&a, &b)) {
         (Ok(fa), Ok(sl)) => {
             if fa.is_ok() != sl.is_ok() {
-                fail!("engines disagree on equivalence: antichain={fa:?} rank={sl:?}");
+                fail!("engines disagree on equivalence: onthefly={fa:?} rank={sl:?}");
             }
             for w in [fa.err(), sl.err()].into_iter().flatten() {
                 if accepts(&a, &w) == accepts(&b, &w) {
@@ -176,27 +178,27 @@ fn check_incl(c: &InclCase) -> Outcome {
                 }
             }
         }
-        _ => return Outcome::Accepted("complement budget exceeded"),
+        _ => return Outcome::Accepted("inclusion budget exceeded"),
     }
-    // Budgeted twin: a successful budgeted run must agree with the
-    // unbudgeted engine; exhaustion and injected faults are accepted.
+    // Budgeted run: a successful budgeted search must agree with the
+    // unbudgeted one; exhaustion and injected faults are accepted.
     if let Some(steps) = c.budget {
         let budget = Budget::unlimited().with_steps(steps);
-        match (included_antichain_budgeted(&a, &b, &budget), &fast) {
+        match (included(&a, &b, &cache, Some(&budget)), &fast) {
             (Ok(bud), Ok(unb)) => {
                 if matches!(bud, Inclusion::Holds) != matches!(unb, Inclusion::Holds) {
-                    fail!("budgeted antichain disagrees with unbudgeted: {bud:?} vs {unb:?}");
+                    fail!("budgeted onthefly disagrees with unbudgeted: {bud:?} vs {unb:?}");
                 }
                 if let Inclusion::CounterExample(w) = &bud {
                     if let Err(msg) = valid_cex(&a, &b, w) {
-                        fail!("budgeted antichain {msg}");
+                        fail!("budgeted onthefly {msg}");
                     }
                 }
             }
             (Err(e), _) if e.is_budget_exceeded() || e.is_fault_injected() => {
                 return Outcome::Accepted("step budget exhausted");
             }
-            (Err(e), _) => fail!("budgeted antichain returned a non-budget error: {e}"),
+            (Err(e), _) => fail!("budgeted onthefly returned a non-budget error: {e}"),
             (Ok(_), Err(_)) => {}
         }
     }
@@ -204,7 +206,7 @@ fn check_incl(c: &InclCase) -> Outcome {
 }
 
 // ---------------------------------------------------------------------
-// Oracle 1b: three-engine inclusion + incremental quotient drill
+// Oracle 1b: engine vs oracle on bigger pairs + incremental quotient drill
 // ---------------------------------------------------------------------
 
 /// The editable shape of an automaton for the seeded mutation drill:
@@ -283,110 +285,88 @@ fn mutate_shape(sigma: &Alphabet, shape: &mut Shape, rng: &mut SplitMix) {
     }
 }
 
-/// Three-engine differential (on-the-fly / eager antichain / rank) on
-/// inclusion, universality, and equivalence, followed by the
-/// incremental-quotient drill: `steps` seeded edits of the left
-/// automaton, each `advance`d through an [`InternedGraph`] and checked
-/// bit-for-bit against a from-scratch quotient. The dirty-SCC
+/// Engine-vs-oracle differential (on-the-fly / rank) on inclusion,
+/// universality, and equivalence over pairs bigger than `incl`'s,
+/// followed by the incremental-quotient drill: `steps` seeded edits of
+/// the left automaton, each `advance`d through an [`InternedGraph`] and
+/// checked bit-for-bit against a from-scratch quotient. The dirty-SCC
 /// invalidation sabotage drill must be caught here.
 fn check_incl3(c: &Incl3Case) -> Outcome {
     let (a, b) = match parse_pair(&c.left, &c.right) {
         Ok(pair) => pair,
         Err(outcome) => return outcome,
     };
-    // The two antichain engines are polynomial per macro-state and must
-    // both answer; the rank oracle joins only on pairs small enough for
-    // its complement to be cheap (incl3 pairs run bigger than the
-    // rank-friendly `incl` sizes, and even a budget-aborted rank run
-    // pays for the exploration up to the abort).
-    let rank_feasible = a.num_states().max(b.num_states()) <= 4;
-    let of = included_onthefly(&a, &b);
-    let ac = included_antichain(&a, &b);
-    match (&of, &ac) {
-        (Ok(of), Ok(ac)) => {
-            let (oh, ah) = (matches!(of, Inclusion::Holds), matches!(ac, Inclusion::Holds));
-            if oh != ah {
-                fail!("engines disagree on inclusion: onthefly={of:?} antichain={ac:?}");
+    // The engine is polynomial per macro-state and must answer; the
+    // rank oracle joins on every pair small enough for its complement
+    // to stay cheap (incl3 pairs run bigger than the rank-friendly
+    // `incl` sizes, and even a budget-aborted rank run pays for the
+    // exploration up to the abort).
+    let rank_feasible = a.num_states().max(b.num_states()) <= 6;
+    let cache = shared_quotient_cache();
+    let Ok(of) = included(&a, &b, cache, None) else {
+        return Outcome::Accepted("inclusion budget exceeded");
+    };
+    if let Inclusion::CounterExample(w) = &of {
+        if let Err(msg) = valid_cex(&a, &b, w) {
+            fail!("onthefly {msg}");
+        }
+    }
+    if rank_feasible {
+        if let Ok(rk) = included_rank(&a, &b) {
+            if rk.holds() != of.holds() {
+                fail!("engines disagree on inclusion: onthefly={of:?} rank={rk:?}");
             }
-            for (engine, verdict) in [("onthefly", of), ("antichain", ac)] {
-                if let Inclusion::CounterExample(w) = verdict {
-                    if let Err(msg) = valid_cex(&a, &b, w) {
-                        fail!("{engine} {msg}");
-                    }
-                }
-            }
-            if rank_feasible {
-                if let Ok(rk) = included_rank(&a, &b) {
-                    if matches!(rk, Inclusion::Holds) != ah {
-                        fail!("engines disagree on inclusion: antichain={ac:?} rank={rk:?}");
-                    }
-                    if let Inclusion::CounterExample(w) = &rk {
-                        if let Err(msg) = valid_cex(&a, &b, w) {
-                            fail!("rank {msg}");
-                        }
-                    }
+            if let Inclusion::CounterExample(w) = &rk {
+                if let Err(msg) = valid_cex(&a, &b, w) {
+                    fail!("rank {msg}");
                 }
             }
         }
-        _ => return Outcome::Accepted("complement budget exceeded"),
     }
-    // Universality of a, three ways.
-    match (universal_onthefly(&a), universal_antichain(&a)) {
-        (Ok(of), Ok(ac)) => {
-            let ac_ok = ac.is_ok();
-            if of.is_ok() != ac_ok {
-                fail!("engines disagree on universality: onthefly={of:?} antichain={ac:?}");
+    // Universality of a, both ways.
+    let Ok(of_univ) = universal(&a, cache, None) else {
+        return Outcome::Accepted("inclusion budget exceeded");
+    };
+    let mut witnesses = vec![of_univ.clone().err()];
+    if rank_feasible {
+        if let Ok(rk) = universal_rank(&a) {
+            if rk.is_ok() != of_univ.is_ok() {
+                fail!("engines disagree on universality: onthefly={of_univ:?} rank={rk:?}");
             }
-            let mut witnesses = vec![of.err(), ac.err()];
-            if rank_feasible {
-                if let Ok(rk) = universal_rank(&a) {
-                    if rk.is_ok() != ac_ok {
-                        fail!("engines disagree on universality: antichain vs rank={rk:?}");
-                    }
-                    witnesses.push(rk.err());
-                }
-            }
-            for w in witnesses.into_iter().flatten() {
-                if accepts(&a, &w) {
-                    fail!("universality witness {w:?} is accepted (not a rejection)");
-                }
-            }
+            witnesses.push(rk.err());
         }
-        _ => return Outcome::Accepted("complement budget exceeded"),
     }
-    // Equivalence, three ways.
-    match (equivalent_onthefly(&a, &b), equivalent_antichain(&a, &b)) {
-        (Ok(of), Ok(ac)) => {
-            let ac_ok = ac.is_ok();
-            if of.is_ok() != ac_ok {
-                fail!("engines disagree on equivalence: onthefly={of:?} antichain={ac:?}");
-            }
-            let mut separators = vec![of.err(), ac.err()];
-            if rank_feasible {
-                if let Ok(rk) = equivalent_rank(&a, &b) {
-                    if rk.is_ok() != ac_ok {
-                        fail!("engines disagree on equivalence: antichain vs rank={rk:?}");
-                    }
-                    separators.push(rk.err());
-                }
-            }
-            for w in separators.into_iter().flatten() {
-                if accepts(&a, &w) == accepts(&b, &w) {
-                    fail!("equivalence separator {w:?} does not separate the languages");
-                }
-            }
+    for w in witnesses.into_iter().flatten() {
+        if accepts(&a, &w) {
+            fail!("universality witness {w:?} is accepted (not a rejection)");
         }
-        _ => return Outcome::Accepted("complement budget exceeded"),
     }
-    // Budgeted on-the-fly twin through an explicit quotient cache; a
-    // successful run must agree, exhaustion and faults are accepted.
+    // Equivalence, both ways.
+    let Ok(of_eq) = equivalent(&a, &b, cache, None) else {
+        return Outcome::Accepted("inclusion budget exceeded");
+    };
+    let mut separators = vec![of_eq.clone().err()];
+    if rank_feasible {
+        if let Ok(rk) = equivalent_rank(&a, &b) {
+            if rk.is_ok() != of_eq.is_ok() {
+                fail!("engines disagree on equivalence: onthefly={of_eq:?} rank={rk:?}");
+            }
+            separators.push(rk.err());
+        }
+    }
+    for w in separators.into_iter().flatten() {
+        if accepts(&a, &w) == accepts(&b, &w) {
+            fail!("equivalence separator {w:?} does not separate the languages");
+        }
+    }
+    // Budgeted run through an explicit quotient cache; a successful run
+    // must agree, exhaustion and faults are accepted.
     if let Some(steps) = c.budget {
         let budget = Budget::unlimited().with_steps(steps);
-        let cache = QuotientCache::new();
-        match (included_onthefly_budgeted_with_cache(&cache, &a, &b, &budget), &of) {
-            (Ok(bud), Ok(unb)) => {
-                if matches!(bud, Inclusion::Holds) != matches!(unb, Inclusion::Holds) {
-                    fail!("budgeted onthefly disagrees with unbudgeted: {bud:?} vs {unb:?}");
+        match included(&a, &b, &QuotientCache::new(), Some(&budget)) {
+            Ok(bud) => {
+                if bud.holds() != of.holds() {
+                    fail!("budgeted onthefly disagrees with unbudgeted: {bud:?} vs {of:?}");
                 }
                 if let Inclusion::CounterExample(w) = &bud {
                     if let Err(msg) = valid_cex(&a, &b, w) {
@@ -394,11 +374,10 @@ fn check_incl3(c: &Incl3Case) -> Outcome {
                     }
                 }
             }
-            (Err(e), _) if e.is_budget_exceeded() || e.is_fault_injected() => {
+            Err(e) if e.is_budget_exceeded() || e.is_fault_injected() => {
                 return Outcome::Accepted("step budget exhausted");
             }
-            (Err(e), _) => fail!("budgeted onthefly returned a non-budget error: {e}"),
-            (Ok(_), Err(_)) => {}
+            Err(e) => fail!("budgeted onthefly returned a non-budget error: {e}"),
         }
     }
     // Incremental-vs-scratch quotient drill: the greatest simulation

@@ -2,7 +2,8 @@
 //! deliberately break an engine (the test-only flags in
 //! `sl_buchi::antichain::sabotage` and `sl_pdr::engine::sabotage`) and
 //! prove the matching oracle catches the bug and shrinks it to a tiny
-//! reproducer.
+//! reproducer. The subsumption flag breaks the on-the-fly inclusion
+//! search, which the `incl` oracle checks against the rank oracle.
 //!
 //! This lives in its own integration-test binary so the process-global
 //! sabotage flags cannot leak into any other test. The two drills

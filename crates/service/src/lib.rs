@@ -12,16 +12,17 @@
 //!   a name;
 //! * **`classify` / `decompose`** — the paper's trichotomy and the
 //!   Theorem 2 decomposition `B = B_S ∩ B_L`;
-//! * **`include` / `equivalent` / `universal`** — the antichain
-//!   inclusion engine (or rank-based, per `SL_INCL_ENGINE`);
+//! * **`include` / `equivalent` / `universal`** — the on-the-fly
+//!   antichain inclusion engine over the daemon's quotient cache;
 //! * **`monitor-step`** — incremental [`sl_buchi::Monitor`] sessions
 //!   with sticky `Unknown`;
 //! * **`batch`** — fan query verbs through the panic-isolated parallel
 //!   sweep: one poisoned request degrades to a typed error response,
 //!   never a dead daemon;
 //! * **`stats`** — per-verb counters, result-cache effectiveness,
-//!   transport `io_errors`, persistence metrics, and the engines'
-//!   [`sl_buchi::EngineStats`];
+//!   transport `io_errors`, persistence metrics, the antichain
+//!   counters ([`sl_buchi::AntichainStats`]), and the quotient cache's
+//!   [`sl_buchi::QuotientCacheStats`];
 //! * **`shutdown`** — the graceful drain: flush the write-ahead
 //!   journal, snapshot, refuse further requests, close every
 //!   connection (`quit`, by contrast, ends only the issuing
@@ -29,7 +30,7 @@
 //!
 //! The daemon serves **concurrent connections**: [`Service`] is a
 //! cloneable handle over one shared core (registry behind an RwLock,
-//! query cache and complement cache sharded into striped locks,
+//! query cache and quotient cache sharded into striped locks,
 //! journaled verbs serialized through the mutation lock), and
 //! [`serve_tcp`] runs one scoped thread per accepted connection,
 //! bounded by `max_conns` with a typed `overloaded` rejection beyond

@@ -59,9 +59,13 @@ fn client_script(j: usize) -> Vec<String> {
 #[test]
 fn sigkill_with_three_live_connections_recovers_every_acknowledged_mutation() {
     let dir = temp_dir("sigkill");
+    // The daemon must run fault-free like its `quiet()` twins, even when
+    // the suite itself runs under an environment fault drill.
     let mut child = Command::new(env!("CARGO_BIN_EXE_sld"))
         .args(["--tcp", "127.0.0.1:0", "--persist"])
         .arg(&dir)
+        .env_remove("SL_FAULT_RATE")
+        .env_remove("SL_FAULT_SEED")
         .stdin(Stdio::null())
         .stdout(Stdio::null())
         .stderr(Stdio::piped())

@@ -14,8 +14,13 @@
 //!   catch-and-pinpoint path;
 //! * `"buchi.complement"` — fails a rank-based complementation
 //!   mid-construction with a typed error;
-//! * `"buchi.complement_cache"` — invalidates a memoized complement,
-//!   forcing a (behavior-preserving) recomputation.
+//! * `"buchi.incl.antichain"` — fails a budgeted inclusion search at an
+//!   insertion attempt with a typed error (unbudgeted searches never
+//!   consult it);
+//! * `"buchi.quotient_cache"` — invalidates a memoized simulation
+//!   quotient, forcing a (behavior-preserving) recomputation;
+//! * `"sl.service.request"` — rejects a daemon request at intake with a
+//!   typed error.
 //!
 //! Environment knobs: `SL_FAULT_SEED` (u64, default 0) and
 //! `SL_FAULT_RATE` (probability in `[0, 1]`, default 0 = disabled),

@@ -1,26 +1,25 @@
-//! Differential verification of the three inclusion engines: the
-//! on-the-fly antichain search (quotient-cached, lazily expanded), the
-//! eager antichain search, and the rank-based oracle.
+//! Differential verification of the inclusion engine against its
+//! oracle: the on-the-fly antichain search (quotient-cached, lazily
+//! expanded) and the rank-based complementation construction.
 //!
-//! All three engines are exact, so on every query they must return the
-//! same verdict, and every counterexample any of them produces must be
-//! *genuine* (accepted by the left operand, rejected by the right —
-//! checked on the *raw* operands, so the on-the-fly engine's internal
-//! quotienting cannot mask a bad witness). The sweep compares the
-//! engines over 500+ random automaton pairs drawn from a pool of 120
-//! distinct machines; rank-side complement-budget blowups are skipped
-//! (and bounded), never treated as disagreements.
+//! Both are exact, so on every query they must return the same verdict,
+//! and every counterexample either produces must be *genuine* (accepted
+//! by the left operand, rejected by the right — checked on the *raw*
+//! operands, so the engine's internal quotienting cannot mask a bad
+//! witness). The sweep compares them over 500+ random automaton pairs
+//! drawn from a pool of 120 distinct machines; rank-side
+//! complement-budget blowups are skipped (and bounded), never treated
+//! as disagreements.
 //!
 //! The tests stay green under an environment fault drill
-//! (`SL_FAULT_RATE` > 0): the unbudgeted entry points consult no
-//! error-injection site, and the rank engine's complement-cache site
-//! (`"buchi.complement_cache"`) only forces behavior-preserving
+//! (`SL_FAULT_RATE` > 0): unbudgeted searches consult no
+//! error-injection site, and the quotient cache's site
+//! (`"buchi.quotient_cache"`) only forces behavior-preserving
 //! recomputations.
 
 use safety_liveness::buchi::{
-    equivalent_antichain, equivalent_onthefly, equivalent_rank, included_antichain,
-    included_onthefly, included_rank, random_buchi, universal_antichain, universal_onthefly,
-    universal_rank, Buchi, Inclusion, RandomConfig,
+    equivalent, equivalent_rank, included, included_rank, random_buchi, shared_quotient_cache,
+    universal, universal_rank, Buchi, Inclusion, RandomConfig,
 };
 use safety_liveness::omega::Alphabet;
 use sl_support::prop;
@@ -76,6 +75,7 @@ fn assert_genuine(engine: &str, verdict: &Inclusion, a: &Buchi, b: &Buchi, pair:
 #[test]
 fn engines_agree_on_inclusion_over_500_pairs() {
     let machines = pool();
+    let cache = shared_quotient_cache();
     let n = machines.len() as u64;
     let mut compared = 0usize;
     let mut rank_skips = 0usize;
@@ -84,26 +84,18 @@ fn engines_agree_on_inclusion_over_500_pairs() {
         let i = (k.wrapping_mul(7919).wrapping_add(3) % n) as usize;
         let j = (k.wrapping_mul(104_729).wrapping_add(11) % n) as usize;
         let (a, b) = (&machines[i], &machines[j]);
-        let ac = included_antichain(a, b)
-            .expect("antichain budget must not blow on a ≤5-state pair");
-        let of = included_onthefly(a, b)
+        let of = included(a, b, cache, None)
             .expect("on-the-fly budget must not blow on a ≤5-state pair");
-        assert_eq!(
-            ac.holds(),
-            of.holds(),
-            "engines disagree on pair ({i}, {j}): antichain {ac:?} vs onthefly {of:?}"
-        );
         assert_genuine("onthefly", &of, a, b, (i, j));
         let Ok(rk) = included_rank(a, b) else {
             rank_skips += 1;
             continue;
         };
         assert_eq!(
-            ac.holds(),
+            of.holds(),
             rk.holds(),
-            "engines disagree on pair ({i}, {j}): antichain {ac:?} vs rank {rk:?}"
+            "engine and oracle disagree on pair ({i}, {j}): onthefly {of:?} vs rank {rk:?}"
         );
-        assert_genuine("antichain", &ac, a, b, (i, j));
         assert_genuine("rank", &rk, a, b, (i, j));
         compared += 1;
     }
@@ -116,15 +108,10 @@ fn engines_agree_on_inclusion_over_500_pairs() {
 #[test]
 fn engines_agree_on_universality() {
     let machines = pool();
+    let cache = shared_quotient_cache();
     let mut rank_skips = 0usize;
     for (i, b) in machines.iter().enumerate() {
-        let ac = universal_antichain(b).expect("antichain universality budget");
-        let of = universal_onthefly(b).expect("on-the-fly universality budget");
-        assert_eq!(
-            ac.is_ok(),
-            of.is_ok(),
-            "universality verdicts disagree on pool[{i}]: antichain vs onthefly"
-        );
+        let of = universal(b, cache, None).expect("on-the-fly universality budget");
         if let Err(w) = &of {
             assert!(!b.accepts(w), "onthefly non-universality witness {w} accepted");
         }
@@ -133,13 +120,10 @@ fn engines_agree_on_universality() {
             continue;
         };
         assert_eq!(
-            ac.is_ok(),
+            of.is_ok(),
             rk.is_ok(),
             "universality verdicts disagree on pool[{i}]"
         );
-        if let Err(w) = &ac {
-            assert!(!b.accepts(w), "antichain non-universality witness {w} accepted");
-        }
         if let Err(w) = &rk {
             assert!(!b.accepts(w), "rank non-universality witness {w} accepted");
         }
@@ -150,18 +134,14 @@ fn engines_agree_on_universality() {
 #[test]
 fn engines_agree_on_equivalence() {
     let machines = pool();
+    let cache = shared_quotient_cache();
     let n = machines.len();
     for k in 0..60usize {
         let i = (k * 13 + 1) % n;
         let j = (k * 29 + 7) % n;
         let (a, b) = (&machines[i], &machines[j]);
-        let ac = equivalent_antichain(a, b).expect("antichain equivalence budget");
-        let of = equivalent_onthefly(a, b).expect("on-the-fly equivalence budget");
-        assert_eq!(
-            ac.is_ok(),
-            of.is_ok(),
-            "equivalence verdicts disagree on pair ({i}, {j}): antichain vs onthefly"
-        );
+        let of = equivalent(a, b, cache, None).expect("on-the-fly equivalence budget");
+        // A separating word must lie in the symmetric difference.
         if let Err(w) = &of {
             assert_ne!(a.accepts(w), b.accepts(w), "onthefly separator {w} separates nothing");
         }
@@ -169,14 +149,10 @@ fn engines_agree_on_equivalence() {
             continue;
         };
         assert_eq!(
-            ac.is_ok(),
+            of.is_ok(),
             rk.is_ok(),
             "equivalence verdicts disagree on pair ({i}, {j})"
         );
-        // A separating word must lie in the symmetric difference.
-        if let Err(w) = &ac {
-            assert_ne!(a.accepts(w), b.accepts(w), "antichain separator {w} separates nothing");
-        }
         if let Err(w) = &rk {
             assert_ne!(a.accepts(w), b.accepts(w), "rank separator {w} separates nothing");
         }
@@ -197,18 +173,15 @@ fn prop_engines_agree_on_random_pairs() {
             };
             let a = random_buchi(&sigma, seed1, cfg);
             let b = random_buchi(&sigma, seed2, cfg);
-            let ac = included_antichain(&a, &b)
-                .map_err(|e| format!("antichain budget: {e}"))?;
-            let of = included_onthefly(&a, &b)
+            let of = included(&a, &b, shared_quotient_cache(), None)
                 .map_err(|e| format!("onthefly budget: {e}"))?;
-            prop_assert_eq!(ac.holds(), of.holds());
             if let Inclusion::CounterExample(w) = &of {
                 prop_assert_eq!(a.accepts(w), true);
                 prop_assert_eq!(b.accepts(w), false);
             }
             if let Ok(rk) = included_rank(&a, &b) {
-                prop_assert_eq!(ac.holds(), rk.holds());
-                if let Inclusion::CounterExample(w) = &ac {
+                prop_assert_eq!(of.holds(), rk.holds());
+                if let Inclusion::CounterExample(w) = &rk {
                     prop_assert_eq!(a.accepts(w), true);
                     prop_assert_eq!(b.accepts(w), false);
                 }

@@ -7,8 +7,8 @@
 //! 10^4-state tier.
 
 use safety_liveness::buchi::{
-    antichain::antichain_stats, included_onthefly, included_onthefly_with_cache, random_buchi,
-    scratch_quotient, Buchi, BuchiBuilder, Inclusion, InternedGraph, QuotientCache, RandomConfig,
+    antichain_stats, included, random_buchi, scratch_quotient, shared_quotient_cache, Buchi,
+    BuchiBuilder, Inclusion, InternedGraph, QuotientCache, RandomConfig,
 };
 use safety_liveness::omega::Alphabet;
 use sl_support::rng::SplitMix;
@@ -164,7 +164,9 @@ fn onthefly_counterexamples_replay_on_raw_automata() {
     for seed in 0..60u64 {
         let a = random_buchi(&sigma, 2 * seed, cfg);
         let b = random_buchi(&sigma, 2 * seed + 1, cfg);
-        match included_onthefly(&a, &b).expect("8-state pairs stay within budget") {
+        match included(&a, &b, shared_quotient_cache(), None)
+            .expect("8-state pairs stay within budget")
+        {
             Inclusion::Holds => {}
             Inclusion::CounterExample(w) => {
                 counterexamples += 1;
@@ -177,9 +179,9 @@ fn onthefly_counterexamples_replay_on_raw_automata() {
 }
 
 /// A small live core drowned in `padding` unreachable, successor-free
-/// states. The eager engine pays for the padding (its simulation and
-/// successor sets are sized by the raw state count); the lazy engine
-/// trims first and never sees it.
+/// states. An engine that refined simulation over the raw operands
+/// would pay for the padding; the on-the-fly engine trims first and
+/// never sees it.
 fn padded(sigma: &Alphabet, seed: u64, padding: usize) -> Buchi {
     let core = random_buchi(
         sigma,
@@ -198,12 +200,28 @@ fn padded(sigma: &Alphabet, seed: u64, padding: usize) -> Buchi {
     build(sigma, &shape)
 }
 
+/// One inclusion search on a thread of its own, returning the verdict
+/// and the search's macro-state arena high-water mark. The gauge is a
+/// per-thread maximum, so a fresh thread isolates it to this search.
+fn isolated_peak(a: &Buchi, b: &Buchi) -> (bool, u64) {
+    std::thread::scope(|scope| {
+        scope
+            .spawn(|| {
+                let holds = included(a, b, &QuotientCache::new(), None)
+                    .expect("the live 15-state core stays within budget")
+                    .holds();
+                (holds, antichain_stats().peak_macro_states)
+            })
+            .join()
+            .expect("search thread panicked")
+    })
+}
+
 /// The memory-regression gate: deciding inclusion over a 10^4-state
-/// padded pair must not materialize more macro-states than the eager
-/// engine's final antichain on the trimmed pair, times a small
-/// constant. The arena gauge (`peak_macro_states`) counts every
-/// macro-state ever created, so unreachable-driven blowup cannot hide
-/// behind subsumption.
+/// padded pair must materialize exactly the macro-states the same
+/// search materializes on the trimmed twins. The arena gauge
+/// (`peak_macro_states`) counts every macro-state ever created, so
+/// unreachable-driven blowup cannot hide behind subsumption.
 #[test]
 fn lazy_search_peak_macro_states_ignores_dead_padding() {
     let sigma = Alphabet::ab();
@@ -212,31 +230,18 @@ fn lazy_search_peak_macro_states_ignores_dead_padding() {
     let a = padded(&sigma, 77, 10_000);
     let b = padded(&sigma, 77, 10_001);
 
-    // Eager yardstick on the trimmed twins (the eager engine on the
-    // raw 10^4-state pair is exactly the quadratic this test exists
-    // to prevent).
+    // Yardstick: the trimmed twins, where there is no padding to pay
+    // for.
     let (a_trim, b_trim) = (a.trim_unreachable(), b.trim_unreachable());
     assert!(a_trim.num_states() <= 15 && b_trim.num_states() <= 15);
-    let before = antichain_stats();
-    let eager = safety_liveness::buchi::included_antichain(&a_trim, &b_trim)
-        .expect("trimmed 15-state pair stays within budget");
-    let eager_delta = antichain_stats().delta_since(&before);
-    assert!(eager.holds(), "identical cores: inclusion must hold");
-    let eager_final = eager_delta.final_antichain;
-    assert!(eager_final > 0, "eager search built an empty antichain");
+    let (trim_holds, trim_peak) = isolated_peak(&a_trim, &b_trim);
+    assert!(trim_holds, "identical cores: inclusion must hold");
+    assert!(trim_peak > 0, "the trimmed search recorded no arena growth");
 
-    let cache = QuotientCache::new();
-    let before = antichain_stats();
-    let lazy = included_onthefly_with_cache(&cache, &a, &b)
-        .expect("padded pair stays within budget once trimmed");
-    let lazy_delta = antichain_stats().delta_since(&before);
-    assert!(lazy.holds(), "engines must agree on the padded pair");
-
-    let lazy_peak = lazy_delta.peak_macro_states;
-    assert!(lazy_peak > 0, "lazy search recorded no arena growth");
-    assert!(
-        lazy_peak <= 4 * eager_final + 8,
-        "lazy peak {lazy_peak} macro-states vs eager final antichain {eager_final}: \
-         the arena is scaling with the 10^4-state padding"
+    let (padded_holds, padded_peak) = isolated_peak(&a, &b);
+    assert!(padded_holds, "padding must not change the verdict");
+    assert_eq!(
+        padded_peak, trim_peak,
+        "the arena is scaling with the 10^4-state padding"
     );
 }

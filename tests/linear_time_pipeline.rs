@@ -3,7 +3,8 @@
 //! lasso-word semantics at every stage.
 
 use safety_liveness::buchi::{
-    classify, closure, decompose, equivalent, is_liveness, is_safety, universal, Classification,
+    classify, closure, decompose, equivalent, is_liveness, is_safety, shared_quotient_cache,
+    universal, Classification,
 };
 use safety_liveness::ltl::{eval, parse, rem_examples, translate};
 use safety_liveness::omega::{all_lassos, rem, Alphabet, LinearProperty};
@@ -149,14 +150,15 @@ fn paper_closure_identities() {
     let s = sigma();
     let ex = rem_examples(&s);
     let automaton = |i: usize| translate(&s, &ex[i].formula);
-    assert!(equivalent(&closure(&automaton(3)), &automaton(1))
+    let cache = shared_quotient_cache();
+    assert!(equivalent(&closure(&automaton(3)), &automaton(1), cache, None)
         .unwrap()
         .is_ok());
     for i in [4, 5] {
-        assert!(universal(&closure(&automaton(i))).unwrap().is_ok());
+        assert!(universal(&closure(&automaton(i)), cache, None).unwrap().is_ok());
     }
     // And lcl.p1 = p1 (safety properties are closed).
-    assert!(equivalent(&closure(&automaton(1)), &automaton(1))
+    assert!(equivalent(&closure(&automaton(1)), &automaton(1), cache, None)
         .unwrap()
         .is_ok());
 }
