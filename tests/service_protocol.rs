@@ -261,6 +261,39 @@ fn exhausted_budgets_degrade_to_typed_errors_not_dead_daemons() {
     assert_eq!(kind, "budget_exceeded");
 }
 
+/// A budgeted `classify` that runs out answers with a pinned message:
+/// the `included_budgeted: antichain search` prefix, then the
+/// antichain search's phase and the steps it spent.
+#[test]
+fn budgeted_classify_exhaustion_message_is_pinned() {
+    let mut service = quiet_service(1);
+    let script = concat!(
+        "{\"id\":1,\"verb\":\"define\",\"name\":\"gfa\",\"ltl\":\"G F a\",\"alphabet\":[\"a\",\"b\"]}\n",
+        "{\"id\":2,\"verb\":\"classify\",\"target\":\"gfa\",\"budget\":{\"steps\":1}}\n",
+    );
+    let responses = response_lines(&run_script(&mut service, script));
+    assert_eq!(responses.len(), 2);
+    assert!(is_ok(&responses[0]), "{}", responses[0].render());
+    // Budgeted paths consult the process-wide fault plan, which the
+    // environment fault drill may arm; an injected fault is the other
+    // graceful answer.
+    let kind = error_kind(&responses[1]).expect("budgeted classify fails");
+    if kind == "fault_injected" {
+        return;
+    }
+    assert_eq!(kind, "budget_exceeded");
+    let message = responses[1]
+        .get("error")
+        .and_then(|e| e.get("message"))
+        .and_then(Json::as_str)
+        .expect("error message");
+    assert_eq!(
+        message,
+        "included_budgeted: antichain search: \
+         budget exceeded in buchi.incl.antichain after 2 steps"
+    );
+}
+
 /// Payloads engineered to trip the engine's internal assertions — a
 /// duplicate LTL alphabet, a header-declared state count near
 /// `usize::MAX`, duplicate HOA propositions — must come back as typed
