@@ -301,12 +301,16 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar. The input is a &str, so the
-                // byte stream is valid UTF-8 by construction.
-                let rest = std::str::from_utf8(&bytes[*pos..]).expect("input is valid utf-8");
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or backslash in one
+                // go, so a long string (an HOA payload) costs one pass.
+                // Both delimiters are ASCII, so they never fall inside a
+                // multi-byte scalar, and the run is valid UTF-8 because
+                // the input is a &str.
+                let start = *pos;
+                while !matches!(bytes.get(*pos), None | Some(b'"' | b'\\')) {
+                    *pos += 1;
+                }
+                out.push_str(std::str::from_utf8(&bytes[start..*pos]).expect("input is valid utf-8"));
             }
         }
     }
@@ -452,6 +456,15 @@ mod tests {
         assert_eq!(
             parse("\"\\ud83d\\ud83d\"").unwrap(),
             Json::Str("\u{fffd}\u{fffd}".to_string())
+        );
+    }
+
+    #[test]
+    fn raw_multibyte_text_survives_between_escapes() {
+        let text = "\"h\u{e9}llo \\n \u{2713}\u{1d11e}\\\"end\u{e9}\"";
+        assert_eq!(
+            parse(text).unwrap(),
+            Json::Str("h\u{e9}llo \n \u{2713}\u{1d11e}\"end\u{e9}".to_string())
         );
     }
 
