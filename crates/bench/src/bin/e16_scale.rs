@@ -22,8 +22,8 @@
 //! 3. **Redefine sweep** — a 1000-state chain of 200 five-state SCC
 //!    blocks, edited eight times in the *source* block (the one no
 //!    other SCC reaches). From-scratch recomputation pays the full
-//!    simulation fixpoint per edit; the interned graph's
-//!    [`InternedGraph::advance`] re-derives only the dirty SCC and
+//!    simulation fixpoint per edit; the quotient cache's
+//!    [`QuotientCache::advance`] re-derives only the dirty SCC and
 //!    must carry the other 199 blocks over unchanged.
 //!
 //! Every sweep asserts exactness (the known verdict, bit-identical
@@ -32,7 +32,7 @@
 use sl_bench::{header, Scoreboard};
 use sl_buchi::{
     included_onthefly_with_cache, random_buchi, scratch_quotient, Buchi, BuchiBuilder,
-    InternedGraph, QuotientCache, RandomConfig,
+    QuotientCache, RandomConfig,
 };
 use sl_omega::Alphabet;
 use sl_support::bench::{black_box, Bench};
@@ -204,14 +204,14 @@ fn main() -> ExitCode {
         .collect();
     // Exactness first: every advance must land bit-identically on the
     // from-scratch quotient, with the downstream blocks carried clean.
-    let mut graph = InternedGraph::new();
-    graph.quotient(&versions[0]);
+    let cache = QuotientCache::new();
+    cache.quotient(&versions[0]);
     let mut exact = true;
     let mut clean_total = 0u64;
     for w in versions.windows(2) {
-        let report = graph.advance(&w[0], &w[1]);
+        let report = cache.advance(&w[0], &w[1]);
         clean_total += report.clean_sccs as u64;
-        let node = graph.node(&w[1]).expect("advance interns the new version");
+        let node = cache.node(&w[1]).expect("advance interns the new version");
         exact &= *node.quotient() == scratch_quotient(&w[1]);
     }
     board.claim("every advance is bit-identical to a scratch quotient", exact);
@@ -226,10 +226,10 @@ fn main() -> ExitCode {
         }
     });
     let incremental = bench.measure("redefine/incremental/chain1000", || {
-        let mut graph = InternedGraph::new();
-        graph.quotient(&versions[0]);
+        let cache = QuotientCache::new();
+        cache.quotient(&versions[0]);
         for w in versions.windows(2) {
-            black_box(graph.advance(&w[0], &w[1]).dirty_sccs);
+            black_box(cache.advance(&w[0], &w[1]).dirty_sccs);
         }
     });
     let redefine_speedup = ratio(scratch, incremental);

@@ -805,7 +805,7 @@ mod tests {
         // computations than lookups.
         let stats = cache.stats();
         assert!(
-            stats.hits > 0,
+            stats.cache.hits > 0,
             "repeated operands should hit the quotient cache: {stats:?}"
         );
     }

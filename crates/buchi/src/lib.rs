@@ -76,8 +76,8 @@ pub use incl::{
     included_with_complement, universal, universal_rank, Inclusion,
 };
 pub use interned::{
-    scratch_quotient, shared_quotient_cache, AdvanceReport, InternedGraph, InternedNode,
-    QuotientCache, QuotientCacheStats,
+    scratch_quotient, shared_quotient_cache, AdvanceReport, InternedNode, QuotientCache,
+    QuotientCacheStats,
 };
 pub use member::{accepts, BuchiProperty};
 pub use monitor::{Monitor, SecurityAutomaton, Verdict};

@@ -27,7 +27,7 @@ use crate::case::{
 use sl_buchi::{
     accepts, closure, equivalent, equivalent_rank, hoa, included, included_rank, live_states,
     scratch_quotient, shared_quotient_cache, universal, universal_rank, Buchi, BuchiBuilder,
-    CompiledMonitor, Inclusion, InternedGraph, Monitor, QuotientCache, Verdict,
+    CompiledMonitor, Inclusion, Monitor, QuotientCache, Verdict,
 };
 use sl_lattice::{
     classify, decompose, decompose_pair_checked, no_decomposition_exists, theorem5_applies,
@@ -288,7 +288,7 @@ fn mutate_shape(sigma: &Alphabet, shape: &mut Shape, rng: &mut SplitMix) {
 /// Engine-vs-oracle differential (on-the-fly / rank) on inclusion,
 /// universality, and equivalence over pairs bigger than `incl`'s,
 /// followed by the incremental-quotient drill: `steps` seeded edits of
-/// the left automaton, each `advance`d through an [`InternedGraph`] and
+/// the left automaton, each `advance`d through a fresh [`QuotientCache`] and
 /// checked bit-for-bit against a from-scratch quotient. The dirty-SCC
 /// invalidation sabotage drill must be caught here.
 fn check_incl3(c: &Incl3Case) -> Outcome {
@@ -385,15 +385,15 @@ fn check_incl3(c: &Incl3Case) -> Outcome {
     // quotient must be bit-identical to a from-scratch computation.
     let sigma = a.alphabet().clone();
     let mut rng = SplitMix::new(c.seed);
-    let mut graph = InternedGraph::new();
+    let cache = QuotientCache::new();
     let mut prev = a;
-    graph.quotient(&prev);
+    cache.quotient(&prev);
     let mut shape = shape_of(&prev);
     for step in 0..c.steps {
         mutate_shape(&sigma, &mut shape, &mut rng);
         let next = build_shape(&sigma, &shape);
-        graph.advance(&prev, &next);
-        let Some(node) = graph.node(&next) else {
+        cache.advance(&prev, &next);
+        let Some(node) = cache.node(&next) else {
             fail!("advance did not intern the mutated automaton at step {step}");
         };
         let incremental = node.quotient();
@@ -866,8 +866,9 @@ fn check_session(c: &SessionCase) -> Outcome {
     // (budget/cancel/fault) — a cache hit legitimately dodges a budget
     // that a recomputation blows.
     let drill_active = drill_active();
-    // cache_cap 1 is the practical "cache off": every insertion past
-    // the first clears the table, so nothing is ever served warm.
+    // cache_cap 1 is "cache off": split over the caches' 8 stripes it
+    // leaves each stripe a cap of 0, so nothing is stored and nothing
+    // is ever served warm.
     for (threads, cache_cap) in [(2usize, 256usize), (4, 256), (2, 1)] {
         let variant = replay(c, threads, cache_cap);
         if variant.len() != baseline.len() {

@@ -1,10 +1,11 @@
 //! Memoization of query results, keyed by `(verb, structural_hash)`.
 //!
-//! The same policy as `sl-buchi`'s complement cache: a bounded map
-//! that is *cleared* (not evicted entry-by-entry) when it would exceed
-//! its cap — O(1) worst-case bookkeeping, bounded memory on unbounded
-//! corpora — and a stored-operand equality check that turns 64-bit
-//! hash collisions into cache misses instead of wrong answers.
+//! A typed layer over [`sl_support::ShardedCache`], which owns the
+//! policy every cache in the workspace shares: a bounded map that is
+//! *cleared* (not evicted entry-by-entry) when it would exceed its cap
+//! — O(1) worst-case bookkeeping, bounded memory on unbounded corpora —
+//! and a stored-operand equality check that turns 64-bit hash
+//! collisions into cache misses instead of wrong answers.
 //!
 //! Since the daemon serves connections concurrently, the map is
 //! **sharded into striped locks** keyed by the left operand's
@@ -22,13 +23,8 @@
 
 use crate::json::Json;
 use sl_buchi::Buchi;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-
-/// Default stripe count for [`QueryCache::new`]. Shard selection is
-/// `left.structural_hash() % shards`, so repeat queries land on (and
-/// serialize through) one stripe while distinct operands parallelize.
-pub const QUERY_CACHE_SHARDS: usize = 8;
+use sl_support::{CacheStats, ShardKey, ShardedCache, SHARDS};
+use std::sync::Arc;
 
 /// Cache-key verb tags. Only pure query verbs are cacheable: `define`
 /// and `decompose` mutate the registry, `monitor-step` is stateful.
@@ -48,102 +44,54 @@ pub enum QueryKind {
 /// The full cache key: verb tag plus the operands' structural hashes
 /// (0 for an absent right operand). Shared with the engine's in-flight
 /// compute deduplication, which tracks pending computes by this key.
-pub(crate) type QueryKey = (QueryKind, u64, u64);
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct QueryKey {
+    kind: QueryKind,
+    left: u64,
+    right: u64,
+}
 
-#[derive(Debug)]
+impl ShardKey for QueryKey {
+    fn shard_hash(&self) -> u64 {
+        self.left
+    }
+}
+
+#[derive(Debug, Clone)]
 struct Entry {
     left: Arc<Buchi>,
     right: Option<Arc<Buchi>>,
     result: Json,
 }
 
-/// Counters describing how the cache has been used (levels and
-/// monotone counts; `entries` is a gauge). For a sharded cache this is
-/// the roll-up; [`QueryCache::shard_stats`] has the per-stripe split.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QueryCacheStats {
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that had to compute.
-    pub misses: u64,
-    /// Results currently stored.
-    pub entries: usize,
-    /// Times a shard hit its cap and was cleared wholesale.
-    pub clears: u64,
-    /// Lookups whose hash matched a stored entry for different
-    /// operands; recomputed uncached, costing time but never
-    /// correctness.
-    pub collisions: u64,
-}
-
-/// One stripe: a bounded map plus its counters, guarded by one lock.
-#[derive(Debug, Default)]
-struct Shard {
-    map: HashMap<QueryKey, Entry>,
-    hits: u64,
-    misses: u64,
-    clears: u64,
-    collisions: u64,
-}
-
-impl Shard {
-    fn stats(&self) -> QueryCacheStats {
-        QueryCacheStats {
-            hits: self.hits,
-            misses: self.misses,
-            entries: self.map.len(),
-            clears: self.clears,
-            collisions: self.collisions,
-        }
-    }
-}
-
 /// The bounded, sharded query-result cache.
 #[derive(Debug)]
 pub struct QueryCache {
-    shards: Vec<Mutex<Shard>>,
-    /// Per-shard entry cap (the construction cap split evenly).
-    shard_cap: usize,
+    entries: ShardedCache<QueryKey, Entry>,
 }
 
 impl QueryCache {
     /// An empty cache holding at most `cap` results across
-    /// [`QUERY_CACHE_SHARDS`] stripes.
+    /// [`SHARDS`] stripes; a `cap` below the stripe count
+    /// stores nothing.
     #[must_use]
     pub fn new(cap: usize) -> Self {
-        Self::with_shards(cap, QUERY_CACHE_SHARDS)
-    }
-
-    /// An empty cache with an explicit stripe count (tests pin 1 shard
-    /// to observe the cap-and-clear policy exactly).
-    #[must_use]
-    pub fn with_shards(cap: usize, shards: usize) -> Self {
-        let shards = shards.max(1);
         QueryCache {
-            shard_cap: (cap / shards).max(1),
-            shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
+            entries: ShardedCache::new(cap, SHARDS),
         }
     }
 
     pub(crate) fn key(kind: QueryKind, left: &Buchi, right: Option<&Buchi>) -> QueryKey {
-        (
+        QueryKey {
             kind,
-            left.structural_hash(),
-            right.map_or(0, Buchi::structural_hash),
-        )
-    }
-
-    /// The stripe responsible for `key`, locked. Poisoning is absorbed:
-    /// the cache is semantically transparent, so state abandoned by a
-    /// panicking thread is still a valid memo table.
-    fn shard(&self, key: &QueryKey) -> MutexGuard<'_, Shard> {
-        let index = (key.1 % self.shards.len() as u64) as usize;
-        self.shards[index].lock().unwrap_or_else(PoisonError::into_inner)
+            left: left.structural_hash(),
+            right: right.map_or(0, Buchi::structural_hash),
+        }
     }
 
     /// Looks up a result, verifying the stored operands are *equal* to
-    /// the probe's (hash collisions count as misses, tallied
-    /// separately). Updates the hit/miss counters.
+    /// the probe's (a hash collision is counted and answered as
+    /// absent).
     pub fn probe(
         &self,
         kind: QueryKind,
@@ -151,34 +99,14 @@ impl QueryCache {
         right: Option<&Arc<Buchi>>,
     ) -> Option<Json> {
         let key = Self::key(kind, left, right.map(Arc::as_ref));
-        let mut shard = self.shard(&key);
-        match shard.map.get(&key) {
-            Some(entry) => {
-                let same = entry.left.as_ref() == left.as_ref()
-                    && match (&entry.right, right) {
-                        (None, None) => true,
-                        (Some(stored), Some(probe)) => stored.as_ref() == probe.as_ref(),
-                        _ => false,
-                    };
-                if same {
-                    let result = entry.result.clone();
-                    shard.hits += 1;
-                    Some(result)
-                } else {
-                    shard.collisions += 1;
-                    shard.misses += 1;
-                    None
-                }
-            }
-            None => {
-                shard.misses += 1;
-                None
-            }
-        }
+        self.entries
+            .get(&key, |entry| {
+                entry.left == *left && entry.right.as_ref() == right
+            })
+            .map(|entry| entry.result)
     }
 
-    /// Stores a computed result, clearing the whole stripe first if it
-    /// is at capacity (cap-and-clear, as the complement cache does).
+    /// Stores a computed result (cap-and-clear per stripe).
     pub fn store(
         &self,
         kind: QueryKind,
@@ -187,44 +115,31 @@ impl QueryCache {
         result: Json,
     ) {
         let key = Self::key(kind, &left, right.as_deref());
-        let mut shard = self.shard(&key);
-        if !shard.map.contains_key(&key) && shard.map.len() >= self.shard_cap {
-            shard.map.clear();
-            shard.clears += 1;
-        }
-        shard.map.insert(key, Entry { left, right, result });
+        self.entries.insert(
+            key,
+            Entry {
+                left,
+                right,
+                result,
+            },
+        );
     }
 
-    /// A roll-up of the counters across every stripe.
+    /// The counters rolled up across every stripe.
     #[must_use]
-    pub fn stats(&self) -> QueryCacheStats {
-        let mut total = QueryCacheStats::default();
-        for stats in self.shard_stats() {
-            total.hits += stats.hits;
-            total.misses += stats.misses;
-            total.entries += stats.entries;
-            total.clears += stats.clears;
-            total.collisions += stats.collisions;
-        }
-        total
+    pub fn stats(&self) -> CacheStats {
+        self.entries.stats()
     }
 
-    /// Per-stripe counters, in shard order — `stats` surfaces these so
-    /// a workload thrashing one stripe is visible without a profiler.
+    /// Per-stripe counters, in shard order — `stats` surfaces these.
     #[must_use]
-    pub fn shard_stats(&self) -> Vec<QueryCacheStats> {
-        self.shards
-            .iter()
-            .map(|shard| shard.lock().unwrap_or_else(PoisonError::into_inner).stats())
-            .collect()
+    pub fn shard_stats(&self) -> Vec<CacheStats> {
+        self.entries.shard_stats()
     }
 
     /// Empties the cache and zeroes the counters (bench isolation).
     pub fn reset(&self) {
-        for shard in &self.shards {
-            let mut shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            *shard = Shard::default();
-        }
+        self.entries.reset();
     }
 }
 
@@ -233,17 +148,24 @@ mod tests {
     use super::*;
     use sl_omega::Alphabet;
 
-    fn arc(b: Buchi) -> Arc<Buchi> {
-        Arc::new(b)
+    fn random(seed: u64) -> Arc<Buchi> {
+        Arc::new(sl_buchi::random_buchi(
+            &Alphabet::ab(),
+            seed,
+            sl_buchi::RandomConfig::default(),
+        ))
     }
 
     #[test]
     fn probe_miss_store_hit() {
         let cache = QueryCache::new(8);
-        let u = arc(Buchi::universal(Alphabet::ab()));
+        let u = Arc::new(Buchi::universal(Alphabet::ab()));
         assert!(cache.probe(QueryKind::Universal, &u, None).is_none());
         cache.store(QueryKind::Universal, Arc::clone(&u), None, Json::Bool(true));
-        assert_eq!(cache.probe(QueryKind::Universal, &u, None), Some(Json::Bool(true)));
+        assert_eq!(
+            cache.probe(QueryKind::Universal, &u, None),
+            Some(Json::Bool(true))
+        );
         // Same operand under a different verb tag is a distinct key.
         assert!(cache.probe(QueryKind::Classify, &u, None).is_none());
         let stats = cache.stats();
@@ -251,97 +173,60 @@ mod tests {
     }
 
     #[test]
-    fn cap_and_clear_bounds_the_map() {
-        // One shard pins the clear policy exactly: the sharded default
-        // would spread the three operands across stripes.
-        let cache = QueryCache::with_shards(2, 1);
-        let sigma = Alphabet::ab();
-        let automata: Vec<Arc<Buchi>> = (0..3)
-            .map(|seed| {
-                arc(sl_buchi::random_buchi(
-                    &sigma,
-                    seed,
-                    sl_buchi::RandomConfig::default(),
-                ))
-            })
-            .collect();
-        for (i, b) in automata.iter().enumerate() {
-            cache.store(QueryKind::Classify, Arc::clone(b), None, Json::Int(i as i64));
+    fn operands_are_compared_not_just_hashed() {
+        let cache = QueryCache::new(64);
+        let (a, b) = (random(1), random(2));
+        cache.store(
+            QueryKind::Include,
+            Arc::clone(&a),
+            Some(Arc::clone(&b)),
+            Json::Int(1),
+        );
+        assert!(cache.probe(QueryKind::Include, &a, Some(&b)).is_some());
+        // An equal operand behind a different Arc still hits.
+        let a_copy = Arc::new(a.as_ref().clone());
+        assert!(cache.probe(QueryKind::Include, &a_copy, Some(&b)).is_some());
+        // A missing right operand never matches a stored binary entry.
+        assert!(cache.probe(QueryKind::Include, &a, None).is_none());
+    }
+
+    #[test]
+    fn a_cap_1_cache_never_serves_a_hit() {
+        // The session oracle's "cache off" leg replays with cap 1: with
+        // 8 stripes that must mean nothing is stored, not one entry per
+        // stripe.
+        let cache = QueryCache::new(1);
+        let u = Arc::new(Buchi::universal(Alphabet::ab()));
+        for _ in 0..4 {
+            assert!(cache.probe(QueryKind::Universal, &u, None).is_none());
+            cache.store(QueryKind::Universal, Arc::clone(&u), None, Json::Bool(true));
         }
         let stats = cache.stats();
-        assert_eq!(stats.clears, 1);
-        // The third insert cleared the first two: only it survives.
-        assert_eq!(stats.entries, 1);
-        assert!(cache.probe(QueryKind::Classify, &automata[2], None).is_some());
-        assert!(cache.probe(QueryKind::Classify, &automata[0], None).is_none());
+        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 4, 0));
     }
 
     #[test]
     fn rollup_sums_per_shard_counters() {
         let cache = QueryCache::new(64);
-        let sigma = Alphabet::ab();
         for seed in 0..16 {
-            let b = arc(sl_buchi::random_buchi(
-                &sigma,
-                seed,
-                sl_buchi::RandomConfig::default(),
-            ));
+            let b = random(seed);
             assert!(cache.probe(QueryKind::Classify, &b, None).is_none());
-            cache.store(QueryKind::Classify, Arc::clone(&b), None, Json::Int(seed as i64));
+            cache.store(
+                QueryKind::Classify,
+                Arc::clone(&b),
+                None,
+                Json::Int(seed as i64),
+            );
             assert!(cache.probe(QueryKind::Classify, &b, None).is_some());
         }
         let per_shard = cache.shard_stats();
-        assert_eq!(per_shard.len(), QUERY_CACHE_SHARDS);
-        let rollup = cache.stats();
-        assert_eq!(per_shard.iter().map(|s| s.hits).sum::<u64>(), rollup.hits);
-        assert_eq!(per_shard.iter().map(|s| s.misses).sum::<u64>(), rollup.misses);
-        assert_eq!(per_shard.iter().map(|s| s.entries).sum::<usize>(), rollup.entries);
-        assert_eq!((rollup.hits, rollup.misses, rollup.entries), (16, 16, 16));
+        assert_eq!(per_shard.len(), SHARDS);
+        assert_eq!(per_shard.iter().copied().sum::<CacheStats>(), cache.stats());
         // 16 distinct random automata should not all pile onto one
         // stripe — the hash actually spreads.
         assert!(
             per_shard.iter().filter(|s| s.entries > 0).count() > 1,
             "{per_shard:?}"
         );
-    }
-
-    #[test]
-    fn concurrent_probes_and_stores_stay_consistent() {
-        let cache = QueryCache::new(256);
-        let sigma = Alphabet::ab();
-        let automata: Vec<Arc<Buchi>> = (0..8)
-            .map(|seed| {
-                arc(sl_buchi::random_buchi(
-                    &sigma,
-                    seed,
-                    sl_buchi::RandomConfig::default(),
-                ))
-            })
-            .collect();
-        std::thread::scope(|scope| {
-            for t in 0..4 {
-                let cache = &cache;
-                let automata = &automata;
-                scope.spawn(move || {
-                    for round in 0..50 {
-                        let b = &automata[(t + round) % automata.len()];
-                        match cache.probe(QueryKind::Universal, b, None) {
-                            Some(result) => {
-                                assert_eq!(result, Json::Int(b.num_states() as i64))
-                            }
-                            None => cache.store(
-                                QueryKind::Universal,
-                                Arc::clone(b),
-                                None,
-                                Json::Int(b.num_states() as i64),
-                            ),
-                        }
-                    }
-                });
-            }
-        });
-        let stats = cache.stats();
-        assert_eq!(stats.hits + stats.misses, 200);
-        assert!(stats.entries <= automata.len());
     }
 }

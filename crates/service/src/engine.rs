@@ -26,8 +26,9 @@
 //! through the **mutation lock** — the persist slot's mutex — so the
 //! journal's append order *is* dispatch order and crash recovery
 //! replays exactly the interleaving that was served. Lock order is
-//! persist → registry → sessions → cache shard → antichain totals;
-//! `stats` takes its locks one at a time and never nests them.
+//! persist → registry → sessions → cache shard → antichain totals /
+//! persist-stats copy; `stats` takes its locks one at a time, never
+//! nests them, and never takes the mutation lock itself.
 //!
 //! `shutdown` drains under the mutation lock: it flips the stopped
 //! flag, flushes the journal, writes a final snapshot, and every
@@ -73,9 +74,9 @@
 //! `sl.service.request` site makes request intake itself drillable
 //! under `SL_FAULT_RATE`.
 
-use crate::cache::{QueryCache, QueryCacheStats, QueryKey, QueryKind};
+use crate::cache::{QueryCache, QueryKey, QueryKind};
 use crate::json::Json;
-use crate::persist::{Persist, PersistConfig, PersistError, SessionSnap};
+use crate::persist::{Persist, PersistConfig, PersistError, PersistStats, SessionSnap};
 use crate::proto::{
     err_value, kind_of, ok_value, request_from_value, BudgetSpec, ProtoError, Request, Verb,
 };
@@ -88,7 +89,7 @@ use sl_buchi::{
 use sl_omega::Alphabet;
 use sl_pdr::{check_liveness, check_safety, LivenessVerdict, SafetyVerdict};
 use sl_support::par::{try_par_map_with, ItemOutcome};
-use sl_support::{fault, par, Budget, FaultPlan, SlError};
+use sl_support::{fault, par, Budget, CacheStats, FaultPlan, ShardedCache, SlError, SHARDS};
 use sl_trees::Kripke;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
@@ -114,7 +115,9 @@ pub struct ServiceConfig {
     /// Byte cap for one request line (oversized lines are rejected
     /// with a typed error, never buffered whole).
     pub max_line: usize,
-    /// Result-cache capacity (cap-and-clear past it).
+    /// Entry cap of each result cache (query and `check`), split over
+    /// its stripes with cap-and-clear per stripe; a cap below the
+    /// stripe count caches nothing.
     pub cache_cap: usize,
     /// Bounded intake: the most items one `batch` may carry. Larger
     /// batches are shed with a typed `overloaded` rejection instead of
@@ -230,10 +233,12 @@ pub struct Reply {
     /// The response line (no trailing newline).
     pub line: String,
     /// Whether this request ends the issuing session: `true` for
-    /// `quit` (connection-local) and `shutdown` (which additionally
-    /// drains the whole daemon — the serving loop tells them apart by
-    /// [`Service::is_stopped`]).
+    /// `quit` (connection-local) and `shutdown`.
     pub quit: bool,
+    /// Whether this request was the `shutdown` that drained the daemon
+    /// (the TCP supervisor closes every other connection once this
+    /// reply is written).
+    pub shutdown: bool,
 }
 
 /// All verbs, in the fixed order the `stats` response reports them.
@@ -264,12 +269,11 @@ fn is_journaled(verb: Verb) -> bool {
 /// table. `check` operands are inline Kripke structures, not
 /// registered automata, so the query cache's `Arc<Buchi>`-shaped
 /// entries cannot hold them; this cache is keyed by a 64-bit hash of
-/// the request's canonical text with a stored-text equality check
-/// (hash collisions recompute, never corrupt) and the same
-/// cap-and-clear policy as every other cache in the workspace.
-#[derive(Debug, Default)]
+/// the request's canonical text and stores that text for the equality
+/// check (hash collisions recompute, never corrupt).
+#[derive(Debug)]
 struct CheckState {
-    cache: Mutex<CheckCache>,
+    cache: ShardedCache<u64, (String, Json)>,
     /// Frames opened across all computed checks.
     frames: AtomicU64,
     /// Proof obligations discharged.
@@ -278,15 +282,6 @@ struct CheckState {
     generalizations: AtomicU64,
     /// Sum of the k-liveness bounds the sweeps settled at.
     k_reached: AtomicU64,
-}
-
-#[derive(Debug, Default)]
-struct CheckCache {
-    map: HashMap<u64, (String, Json)>,
-    hits: u64,
-    misses: u64,
-    clears: u64,
-    collisions: u64,
 }
 
 /// The durability attachment: the journal/snapshot manager plus the
@@ -347,6 +342,10 @@ struct Shared {
     /// service is not persistent — the lock still serializes
     /// mutators).
     persist: Mutex<Option<PersistState>>,
+    /// The journal counters as of the last mutation-lock release
+    /// (`None` when not persistent): `stats` reads this copy, so it
+    /// never waits behind an in-flight mutation. A leaf lock.
+    persist_stats: Mutex<Option<PersistStats>>,
     /// Set by `shutdown` under the mutation lock; every later request
     /// is refused with `shutting_down`.
     stopped: AtomicBool,
@@ -385,7 +384,13 @@ impl Service {
         Service {
             shared: Arc::new(Shared {
                 cache: QueryCache::new(config.cache_cap),
-                check: CheckState::default(),
+                check: CheckState {
+                    cache: ShardedCache::new(config.cache_cap, SHARDS),
+                    frames: AtomicU64::new(0),
+                    obligations: AtomicU64::new(0),
+                    generalizations: AtomicU64::new(0),
+                    k_reached: AtomicU64::new(0),
+                },
                 quotient: QuotientCache::with_fault(config.fault),
                 config,
                 registry: RwLock::new(Registry::new()),
@@ -394,6 +399,7 @@ impl Service {
                 antichain_totals: Mutex::new(AntichainStats::default()),
                 next_request_index: AtomicU64::new(0),
                 persist: Mutex::new(None),
+                persist_stats: Mutex::new(None),
                 stopped: AtomicBool::new(false),
                 pending: Mutex::new(HashSet::new()),
                 pending_done: Condvar::new(),
@@ -447,6 +453,7 @@ impl Service {
         state
             .persist
             .note_recovery(started.elapsed().as_millis() as u64, replayed);
+        service.publish_persist_stats(&guard);
         drop(guard);
         Ok(service)
     }
@@ -467,6 +474,14 @@ impl Service {
 
     fn lock_sessions(&self) -> MutexGuard<'_, Sessions> {
         relock(self.shared.sessions.lock())
+    }
+
+    /// Copies the journal counters for `stats`. Called with the
+    /// mutation lock held, after every critical section that can move
+    /// them.
+    fn publish_persist_stats(&self, persist: &Option<PersistState>) {
+        *relock(self.shared.persist_stats.lock()) =
+            persist.as_ref().map(|state| *state.persist.stats());
     }
 
     /// Folds a per-query antichain delta into the daemon totals.
@@ -563,14 +578,16 @@ impl Service {
 
     /// The drain body, for callers already holding the mutation lock.
     fn drain_with(&self, persist: &mut Option<PersistState>) -> Result<bool, PersistError> {
-        if persist.is_none() {
+        let Some(state) = persist.as_mut() else {
             return Ok(false);
-        }
+        };
         let (registry, sessions) = self.snapshot_state();
-        let state = persist.as_mut().expect("checked above");
-        state.persist.sync()?;
-        state.persist.write_snapshot(registry, sessions)?;
-        Ok(true)
+        let drained = state
+            .persist
+            .sync()
+            .and_then(|()| state.persist.write_snapshot(registry, sessions));
+        self.publish_persist_stats(persist);
+        drained.map(|()| true)
     }
 
     /// The configured line cap (the framing layer enforces it).
@@ -579,9 +596,9 @@ impl Service {
         self.shared.config.max_line
     }
 
-    /// Cache counters (bench reporting).
+    /// Query-cache counters (bench reporting).
     #[must_use]
-    pub fn cache_stats(&self) -> QueryCacheStats {
+    pub fn cache_stats(&self) -> CacheStats {
         self.shared.cache.stats()
     }
 
@@ -626,6 +643,7 @@ impl Service {
             return Reply {
                 line: ok_value(id.as_ref(), Json::obj(vec![("bye", Json::Bool(true))])).render(),
                 quit: true,
+                shutdown: false,
             };
         }
         if request.verb == Verb::Shutdown {
@@ -643,17 +661,22 @@ impl Service {
                 // the final snapshot is already on disk.
                 return self.error_reply(id.as_ref(), &shutting_down());
             }
-            if let Some(state) = persist.as_mut() {
-                if !state.replaying {
-                    if let Err(e) = state.persist.append(line) {
-                        let error =
-                            ProtoError::new("persist", format!("journal write failed: {e}"));
-                        return self.error_reply(id.as_ref(), &error);
-                    }
+            let appended = match persist.as_mut() {
+                Some(state) if !state.replaying => state.persist.append(line),
+                _ => Ok(()),
+            };
+            let reply = match appended {
+                Ok(()) => {
+                    let reply = self.dispatch_isolated(&request, id.as_ref());
+                    self.maybe_snapshot(&mut persist);
+                    reply
                 }
-            }
-            let reply = self.dispatch_isolated(&request, id.as_ref());
-            self.maybe_snapshot(&mut persist);
+                Err(e) => {
+                    let error = ProtoError::new("persist", format!("journal write failed: {e}"));
+                    self.error_reply(id.as_ref(), &error)
+                }
+            };
+            self.publish_persist_stats(&persist);
             reply
         } else {
             self.dispatch_isolated(&request, id.as_ref())
@@ -682,6 +705,7 @@ impl Service {
         Reply {
             line: ok_value(id, body).render(),
             quit: true,
+            shutdown: true,
         }
     }
 
@@ -693,6 +717,7 @@ impl Service {
             Ok(Ok(result)) => Reply {
                 line: ok_value(id, result).render(),
                 quit: false,
+                shutdown: false,
             },
             Ok(Err(error)) => self.error_reply(id, &error),
             Err(payload) => {
@@ -837,6 +862,7 @@ impl Service {
         Reply {
             line: err_value(id, error).render(),
             quit: false,
+            shutdown: false,
         }
     }
 
@@ -1185,20 +1211,9 @@ impl Service {
             canon.hash(&mut hasher);
             hasher.finish()
         };
-        {
-            let mut cache = relock(self.shared.check.cache.lock());
-            match cache.map.get(&key) {
-                Some((stored, result)) if *stored == canon => {
-                    let result = result.clone();
-                    cache.hits += 1;
-                    return Ok(result);
-                }
-                Some(_) => {
-                    cache.collisions += 1;
-                    cache.misses += 1;
-                }
-                None => cache.misses += 1,
-            }
+        let cache = &self.shared.check.cache;
+        if let Some((_, result)) = cache.get(&key, |(stored, _)| *stored == canon) {
+            return Ok(result);
         }
         let budget = request
             .budget
@@ -1238,13 +1253,7 @@ impl Service {
                 ]),
             }
         };
-        let mut cache = relock(self.shared.check.cache.lock());
-        if !cache.map.contains_key(&key) && cache.map.len() >= self.shared.config.cache_cap {
-            cache.map.clear();
-            cache.clears += 1;
-        }
-        cache.map.insert(key, (canon, result.clone()));
-        drop(cache);
+        cache.insert(key, (canon, result.clone()));
         Ok(result)
     }
 
@@ -1265,9 +1274,11 @@ impl Service {
     /// Renders the `stats` snapshot. Every lock here is taken and
     /// released on its own — `stats` never holds two at once, so it
     /// can never participate in a lock-order cycle with a mutator.
-    /// Under concurrency the snapshot is a consistent-enough read:
-    /// each counter is exact, cross-counter relations may be mid-
-    /// request.
+    /// It never takes the mutation lock: the journal counters come from
+    /// the copy published when the lock was last released, so `stats`
+    /// answers while a long `define` holds it. Under concurrency the
+    /// snapshot is a consistent-enough read: each counter is exact,
+    /// cross-counter relations may be mid-request.
     fn do_stats(&self) -> Json {
         let mut requests: Vec<(String, Json)> = STATS_VERBS
             .iter()
@@ -1289,22 +1300,8 @@ impl Service {
         requests.push(("total".to_string(), Json::Int(total as i64)));
         let automata = self.read_registry().len();
         let monitors = self.lock_sessions().monitors.len();
-        let cache = self.shared.cache.stats();
-        let shards: Vec<Json> = self
-            .shared
-            .cache
-            .shard_stats()
-            .iter()
-            .map(|s| {
-                Json::obj(vec![
-                    ("hits", Json::Int(s.hits as i64)),
-                    ("misses", Json::Int(s.misses as i64)),
-                    ("entries", Json::Int(s.entries as i64)),
-                    ("clears", Json::Int(s.clears as i64)),
-                    ("collisions", Json::Int(s.collisions as i64)),
-                ])
-            })
-            .collect();
+        let shard_stats = self.shared.cache.shard_stats();
+        let shards: Vec<Json> = shard_stats.iter().map(|s| cache_json(s, vec![])).collect();
         let antichain = *relock(self.shared.antichain_totals.lock());
         let quotient = self.shared.quotient.stats();
         let counters = &self.shared.counters;
@@ -1335,14 +1332,10 @@ impl Service {
             ),
             (
                 "cache",
-                Json::obj(vec![
-                    ("hits", Json::Int(cache.hits as i64)),
-                    ("misses", Json::Int(cache.misses as i64)),
-                    ("entries", Json::Int(cache.entries as i64)),
-                    ("clears", Json::Int(cache.clears as i64)),
-                    ("collisions", Json::Int(cache.collisions as i64)),
-                    ("shards", Json::Arr(shards)),
-                ]),
+                cache_json(
+                    &shard_stats.into_iter().sum(),
+                    vec![("shards", Json::Arr(shards))],
+                ),
             ),
             (
                 "engine",
@@ -1375,34 +1368,20 @@ impl Service {
                     ),
                     (
                         "quotient_cache",
-                        Json::obj(vec![
-                            ("hits", Json::Int(quotient.hits as i64)),
-                            ("misses", Json::Int(quotient.misses as i64)),
-                            ("entries", Json::Int(quotient.entries as i64)),
-                            (
-                                "invalidations",
-                                Json::Int(quotient.invalidations as i64),
-                            ),
-                            ("collisions", Json::Int(quotient.collisions as i64)),
-                            ("advances", Json::Int(quotient.advances as i64)),
-                            ("dirty_sccs", Json::Int(quotient.dirty_sccs as i64)),
-                            ("clean_sccs", Json::Int(quotient.clean_sccs as i64)),
-                        ]),
+                        cache_json(
+                            &quotient.cache,
+                            vec![
+                                ("invalidations", Json::Int(quotient.invalidations as i64)),
+                                ("advances", Json::Int(quotient.advances as i64)),
+                                ("dirty_sccs", Json::Int(quotient.dirty_sccs as i64)),
+                                ("clean_sccs", Json::Int(quotient.clean_sccs as i64)),
+                            ],
+                        ),
                     ),
                 ]),
             ),
         ];
         let check = &self.shared.check;
-        let (c_hits, c_misses, c_entries, c_clears, c_collisions) = {
-            let cache = relock(check.cache.lock());
-            (
-                cache.hits,
-                cache.misses,
-                cache.map.len(),
-                cache.clears,
-                cache.collisions,
-            )
-        };
         doc.push((
             "check",
             Json::obj(vec![
@@ -1422,21 +1401,11 @@ impl Service {
                     "k_reached",
                     Json::Int(check.k_reached.load(Ordering::SeqCst) as i64),
                 ),
-                (
-                    "cache",
-                    Json::obj(vec![
-                        ("hits", Json::Int(c_hits as i64)),
-                        ("misses", Json::Int(c_misses as i64)),
-                        ("entries", Json::Int(c_entries as i64)),
-                        ("clears", Json::Int(c_clears as i64)),
-                        ("collisions", Json::Int(c_collisions as i64)),
-                    ]),
-                ),
+                ("cache", cache_json(&check.cache.stats(), vec![])),
             ]),
         ));
-        let persist = self.lock_persist();
-        if let Some(state) = persist.as_ref() {
-            let p = *state.persist.stats();
+        let persist = *relock(self.shared.persist_stats.lock());
+        if let Some(p) = persist {
             doc.push((
                 "persist",
                 Json::obj(vec![
@@ -1455,7 +1424,6 @@ impl Service {
                 ]),
             ));
         }
-        drop(persist);
         Json::obj(doc)
     }
 
@@ -1600,6 +1568,20 @@ impl Service {
         }
         Ok(Json::obj(vec![("results", Json::Arr(results))]))
     }
+}
+
+/// One cache's `stats` block: the five counters every cache shares,
+/// in one order, then `extra` (the cache's own fields).
+fn cache_json(stats: &CacheStats, extra: Vec<(&str, Json)>) -> Json {
+    let mut fields = vec![
+        ("hits", Json::Int(stats.hits as i64)),
+        ("misses", Json::Int(stats.misses as i64)),
+        ("entries", Json::Int(stats.entries as i64)),
+        ("clears", Json::Int(stats.clears as i64)),
+        ("collisions", Json::Int(stats.collisions as i64)),
+    ];
+    fields.extend(extra);
+    Json::obj(fields)
 }
 
 // ---- the pure compute kernel (shared by inline and batch paths) ----
@@ -1922,5 +1904,50 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "panic with non-string payload".to_string()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    /// `stats` must answer while another thread holds the mutation lock
+    /// (as a long `define` does), and still render the journal block.
+    #[test]
+    fn stats_answers_while_the_mutation_lock_is_held() {
+        let dir = std::env::temp_dir().join(format!("sl-stats-unblocked-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let persist = PersistConfig {
+            dir: dir.clone(),
+            snapshot_every: 0,
+        };
+        let service = Service::with_persistence(
+            ServiceConfig {
+                fault: FaultPlan::disabled(),
+                threads: 1,
+                ..ServiceConfig::default()
+            },
+            &persist,
+        )
+        .unwrap();
+        let defined = service.handle_line(
+            r#"{"id":1,"verb":"define","name":"ga","ltl":"G a","alphabet":["a","b"]}"#,
+        );
+        assert!(defined.line.contains("\"ok\":true"), "{}", defined.line);
+        let held = service.lock_persist();
+        let (tx, rx) = mpsc::channel();
+        let prober = service.clone();
+        let probe = std::thread::spawn(move || {
+            let _ = tx.send(prober.handle_line(r#"{"id":2,"verb":"stats"}"#).line);
+        });
+        let reply = rx.recv_timeout(Duration::from_secs(10));
+        drop(held);
+        probe.join().unwrap();
+        let reply = reply.expect("stats waited behind the mutation lock");
+        assert!(reply.contains("\"persist\":{\"journal_bytes\":"), "{reply}");
+        assert!(reply.contains("\"records_since_snapshot\":1"), "{reply}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -19,10 +19,11 @@
 //! * **`batch`** — fan query verbs through the panic-isolated parallel
 //!   sweep: one poisoned request degrades to a typed error response,
 //!   never a dead daemon;
-//! * **`stats`** — per-verb counters, result-cache effectiveness,
-//!   transport `io_errors`, persistence metrics, the antichain
-//!   counters ([`sl_buchi::AntichainStats`]), and the quotient cache's
-//!   [`sl_buchi::QuotientCacheStats`];
+//! * **`stats`** — per-verb counters, transport `io_errors`,
+//!   persistence metrics, the antichain counters
+//!   ([`sl_buchi::AntichainStats`]), and one uniform block per cache
+//!   (query, quotient, `check`): the five [`sl_support::CacheStats`]
+//!   counters, then the cache's own fields;
 //! * **`shutdown`** — the graceful drain: flush the write-ahead
 //!   journal, snapshot, refuse further requests, close every
 //!   connection (`quit`, by contrast, ends only the issuing
@@ -47,8 +48,8 @@
 //!
 //! Every request may carry a `budget` (`steps`/`ms`) mapped onto
 //! [`sl_support::Budget`]; query results are memoized keyed by
-//! `(verb, structural_hash)` with the same cap-and-clear policy as the
-//! complement cache; the `sl.service.request` fault site makes intake
+//! `(verb, structural_hash)` in a [`sl_support::ShardedCache`], the
+//! cap-and-clear policy every cache in the workspace shares; the `sl.service.request` fault site makes intake
 //! drillable under `SL_FAULT_RATE`. The JSON layer is hand-rolled
 //! ([`json`]) — the workspace stays registry-dependency-free.
 //!
@@ -80,7 +81,7 @@ pub mod proto;
 pub mod registry;
 pub mod server;
 
-pub use cache::{QueryCache, QueryCacheStats, QueryKind};
+pub use cache::{QueryCache, QueryKind};
 pub use engine::{Reply, Service, ServiceConfig, REQUEST_FAULT_SITE};
 pub use json::Json;
 pub use persist::{

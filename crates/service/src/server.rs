@@ -26,6 +26,9 @@ pub struct SessionSummary {
     pub responses: u64,
     /// Whether the session ended on `quit`/`shutdown` (vs EOF).
     pub quit: bool,
+    /// Whether the session issued the `shutdown` that drained the
+    /// daemon (set even when writing its reply then failed).
+    pub shutdown: bool,
 }
 
 /// Decrements the active-session gauge however the session ends
@@ -53,9 +56,21 @@ pub fn serve<R: BufRead, W: Write>(
     reader: &mut R,
     writer: &mut W,
 ) -> std::io::Result<SessionSummary> {
+    let mut summary = SessionSummary::default();
+    serve_into(service, reader, writer, &mut summary)?;
+    Ok(summary)
+}
+
+/// The body of [`serve`], accumulating into `summary` so a caller
+/// still sees what the session did when an I/O error ends it.
+fn serve_into<R: BufRead, W: Write>(
+    service: &Service,
+    reader: &mut R,
+    writer: &mut W,
+    summary: &mut SessionSummary,
+) -> std::io::Result<()> {
     service.begin_session();
     let _guard = SessionGuard(service);
-    let mut summary = SessionSummary::default();
     let max_line = service.max_line();
     loop {
         let reply = match read_frame(reader, max_line)? {
@@ -68,6 +83,7 @@ pub fn serve<R: BufRead, W: Write>(
                 Reply {
                     line: err_response(None, &error),
                     quit: false,
+                    shutdown: false,
                 }
             }
             Frame::Line(line) => {
@@ -77,6 +93,7 @@ pub fn serve<R: BufRead, W: Write>(
                 service.handle_line(&line)
             }
         };
+        summary.shutdown |= reply.shutdown;
         let mut line = reply.line;
         line.push('\n');
         writer.write_all(line.as_bytes())?;
@@ -87,7 +104,7 @@ pub fn serve<R: BufRead, W: Write>(
             break;
         }
     }
-    Ok(summary)
+    Ok(())
 }
 
 /// Serves stdin → stdout until `quit` or EOF. Single-session by
@@ -112,13 +129,11 @@ pub fn serve_connection<R: BufRead, W: Write>(
     reader: &mut R,
     writer: &mut W,
 ) -> SessionSummary {
-    match serve(service, reader, writer) {
-        Ok(summary) => summary,
-        Err(_) => {
-            service.note_io_error();
-            SessionSummary::default()
-        }
+    let mut summary = SessionSummary::default();
+    if serve_into(service, reader, writer, &mut summary).is_err() {
+        service.note_io_error();
     }
+    summary
 }
 
 /// The connection supervisor: accepts TCP connections and serves each
@@ -132,11 +147,13 @@ pub fn serve_connection<R: BufRead, W: Write>(
 ///   gets one typed `overloaded` response line and is closed.
 /// * `quit` ends the issuing connection; the supervisor keeps
 ///   accepting.
-/// * `shutdown` drains the daemon: the handling thread wakes the
-///   (blocking) acceptor with a loopback connection and shuts down
-///   every live socket, so idle clients observe EOF instead of
-///   hanging the drain; the supervisor then joins all connection
-///   threads and returns.
+/// * `shutdown` drains the daemon: once its reply is written, the
+///   issuing connection's thread shuts down every live socket, so idle
+///   clients observe EOF instead of hanging the drain, and wakes the
+///   (blocking) acceptor with a loopback connection; the supervisor
+///   then joins all connection threads and returns. Only the issuer
+///   broadcasts: a connection that merely ends after the stopped flag
+///   is set must not close the issuer's socket before its reply is out.
 ///
 /// # Errors
 ///
@@ -184,12 +201,12 @@ pub fn serve_tcp(service: &Service, listener: &TcpListener) -> std::io::Result<(
                     }
                 });
                 let mut reader = BufReader::new(stream);
-                serve_connection(service, &mut reader, &mut writer);
+                let summary = serve_connection(service, &mut reader, &mut writer);
                 let mut conns = conns.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
                 if let Ok(peer) = peer {
                     conns.retain(|c| c.peer_addr().map(|a| a != peer).unwrap_or(false));
                 }
-                if service.is_stopped() {
+                if summary.shutdown {
                     // Drain broadcast: shut every live socket (their
                     // serve loops see EOF and exit), then wake the
                     // acceptor blocked in `accept` with a loopback
@@ -245,7 +262,14 @@ mod tests {
         );
         let mut output = Vec::new();
         let summary = serve(&service, &mut Cursor::new(script), &mut output).unwrap();
-        assert_eq!(summary, SessionSummary { responses: 2, quit: true });
+        assert_eq!(
+            summary,
+            SessionSummary {
+                responses: 2,
+                quit: true,
+                shutdown: false
+            }
+        );
         let text = String::from_utf8(output).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2, "{text}");

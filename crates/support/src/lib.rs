@@ -13,6 +13,9 @@
 //!   failure-seed reporting (`SL_PROP_CASES` / `SL_PROP_SEED`).
 //! * [`bench`] — a wall-clock timing harness (warmup, calibrated
 //!   batches, median/p95 report) backing `crates/bench/benches/`.
+//! * [`cache`] — [`ShardedCache`], the one bounded, striped memo
+//!   table (cap-and-clear, collision-checked lookups, uniform
+//!   [`CacheStats`]) behind every cache in the workspace.
 //! * [`par`] — scoped-thread chunked parallel sweeps with
 //!   deterministic result ordering (`SL_THREADS` to pin the width) and
 //!   panic-isolated fault-tolerant variants ([`par::try_par_map`]).
@@ -36,6 +39,7 @@
 
 pub mod bench;
 pub mod budget;
+pub mod cache;
 pub mod error;
 pub mod fault;
 pub mod par;
@@ -43,6 +47,7 @@ pub mod prop;
 pub mod rng;
 
 pub use budget::{Budget, BudgetMeter, CancelFlag};
+pub use cache::{CacheStats, ShardKey, ShardedCache, SHARDS};
 pub use error::SlError;
 pub use fault::FaultPlan;
 pub use par::{ItemOutcome, SweepReport};

@@ -67,13 +67,14 @@ echo "== service: golden transcript, fault drill, E12 smoke =="
 # The daemon must reproduce the golden transcript byte-for-byte at any
 # worker count: intake, cache probes, and commits are sequential; only
 # the batch fan-out is parallel, and its results are committed in item
-# order.
+# order. `diff -u` fails on any byte difference and prints the drifted
+# line (a `stats` counter that moved shows up in full).
 svc_tmp="$(mktemp -d)"
 for t in 1 2 8; do
   echo "-- sld golden transcript (SL_THREADS=$t)"
   SL_THREADS=$t ./target/release/sld --stdin < scripts/service_session.jsonl \
     > "$svc_tmp/session_t$t.out"
-  cmp "$svc_tmp/session_t$t.out" scripts/service_session.golden
+  diff -u scripts/service_session.golden "$svc_tmp/session_t$t.out"
 done
 # Under the seeded fault drill the daemon degrades per-request — typed
 # error responses, never a dead process: exit 0 and one response line
@@ -148,7 +149,7 @@ for t in 1 8; do
   echo "-- sld monitor transcript (SL_THREADS=$t)"
   SL_THREADS=$t ./target/release/sld --stdin < scripts/monitor_session.jsonl \
     > "$mon_tmp/monitor_t$t.out"
-  cmp "$mon_tmp/monitor_t$t.out" scripts/monitor_session.golden
+  diff -u scripts/monitor_session.golden "$mon_tmp/monitor_t$t.out"
 done
 # E13 smoke: the binary fails itself if the three steppers disagree on
 # any verdict, the fleet diverges from lone monitors, or the compiled
@@ -250,7 +251,7 @@ for t in 1 8; do
   echo "-- sld quotient-session transcript (SL_THREADS=$t)"
   SL_THREADS=$t ./target/release/sld --stdin < scripts/quotient_session.jsonl \
     > "$scale_tmp/quotient_t$t.out"
-  cmp "$scale_tmp/quotient_t$t.out" scripts/quotient_session.golden
+  diff -u scripts/quotient_session.golden "$scale_tmp/quotient_t$t.out"
 done
 # E16: the scale sweep. The binary fails itself if the engine misses the
 # known verdict on any padded pair, an advance diverges from a scratch
@@ -315,7 +316,7 @@ for t in 1 8; do
   echo "-- sld check transcript (SL_THREADS=$t)"
   SL_THREADS=$t ./target/release/sld --stdin < scripts/check_session.jsonl \
     > "$pdr_tmp/check_t$t.out"
-  cmp "$pdr_tmp/check_t$t.out" scripts/check_session.golden
+  diff -u scripts/check_session.golden "$pdr_tmp/check_t$t.out"
 done
 # E15 smoke: the binary fails itself if PDR and deepening BMC disagree
 # on any sweep size, a certificate fails replay, or PDR loses the

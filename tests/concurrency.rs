@@ -4,26 +4,32 @@
 //!
 //! * per-connection transcripts byte-identical to a solo run of the
 //!   same script — no cross-talk through the shared registry, the
-//!   sharded query cache, or the shared complement cache;
+//!   sharded query cache, or the shared quotient cache;
 //! * `quit` ending only the issuing connection while `shutdown`
-//!   drains every connection to EOF;
+//!   drains every connection to EOF — and never before the issuer has
+//!   read its own reply;
 //! * admission control shedding connections beyond `max_conns` with
 //!   one typed `overloaded` line;
 //! * `stats` counters (per-verb, errors, and the new
 //!   `connections`/`active_sessions` gauges) summing exactly across
 //!   concurrent sessions.
 
-use safety_liveness::service::{serve, serve_tcp, Json, Service, ServiceConfig};
+use safety_liveness::service::{serve, serve_tcp, Json, PersistConfig, Service, ServiceConfig};
 use sl_support::FaultPlan;
 use std::io::{BufRead, BufReader, Cursor, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::time::{Duration, Instant};
 
-fn quiet_service() -> Service {
-    Service::new(ServiceConfig {
+fn quiet_config() -> ServiceConfig {
+    ServiceConfig {
         fault: FaultPlan::disabled(),
         threads: 1,
         ..ServiceConfig::default()
-    })
+    }
+}
+
+fn quiet_service() -> Service {
+    Service::new(quiet_config())
 }
 
 /// Client `j`'s seeded session: every name is namespaced `t{j}_`, so
@@ -178,6 +184,64 @@ fn quit_ends_one_tcp_connection_and_shutdown_drains_the_rest() {
         assert_eq!(rest, "", "A's idle connection must see EOF after the drain");
         supervisor.join().unwrap().unwrap();
     });
+}
+
+/// A client that disconnects while another client's `shutdown` is
+/// draining must not close the issuer's socket before its reply is
+/// written: only the issuing connection broadcasts the drain. The
+/// daemon is durable, so the drain syncs the journal and writes a
+/// snapshot between raising the stopped flag and replying — the window
+/// in which any other connection's exit used to shut every socket. A
+/// leaves once the flag is up, i.e. inside that window.
+#[test]
+fn a_disconnect_during_another_clients_shutdown_never_eats_its_bye() {
+    const ROUNDS: u64 = 20;
+    for round in 0..ROUNDS {
+        let dir =
+            std::env::temp_dir().join(format!("sl-drain-race-{}-{round}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let persist = PersistConfig {
+            dir: dir.clone(),
+            snapshot_every: 0,
+        };
+        let service = Service::with_persistence(quiet_config(), &persist).unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        std::thread::scope(|scope| {
+            let supervisor = scope.spawn(|| serve_tcp(&service, &listener));
+            // Both clients are admitted and mid-session.
+            let connect = || {
+                let mut stream = TcpStream::connect(addr).unwrap();
+                stream
+                    .write_all(b"{\"id\":1,\"verb\":\"stats\"}\n")
+                    .unwrap();
+                let mut line = String::new();
+                BufReader::new(&stream).read_line(&mut line).unwrap();
+                assert!(line.contains("\"ok\":true"), "{line}");
+                stream
+            };
+            let a = connect();
+            let mut b = connect();
+            b.write_all(b"{\"id\":2,\"verb\":\"shutdown\"}\n").unwrap();
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while !service.is_stopped() {
+                assert!(
+                    Instant::now() < deadline,
+                    "round {round}: shutdown never started"
+                );
+                std::thread::yield_now();
+            }
+            drop(a);
+            let mut b_text = String::new();
+            let _ = BufReader::new(&b).read_to_string(&mut b_text);
+            assert!(
+                b_text.contains("\"bye\":true"),
+                "round {round}: the issuer of shutdown lost its reply: {b_text:?}"
+            );
+            supervisor.join().unwrap().unwrap();
+        });
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]

@@ -8,7 +8,7 @@
 
 use safety_liveness::buchi::{
     antichain_stats, included, random_buchi, scratch_quotient, shared_quotient_cache, Buchi,
-    BuchiBuilder, Inclusion, InternedGraph, QuotientCache, RandomConfig,
+    BuchiBuilder, Inclusion, QuotientCache, RandomConfig,
 };
 use safety_liveness::omega::Alphabet;
 use sl_support::rng::SplitMix;
@@ -104,7 +104,7 @@ fn incremental_quotient_is_bit_identical_to_scratch_over_mutation_sequences() {
     let sigma = Alphabet::ab();
     for seed in 0..3u64 {
         let mut rng = SplitMix::new(0x1117 + seed);
-        let mut graph = InternedGraph::with_cap(4096);
+        let cache = QuotientCache::new();
         let mut prev = random_buchi(
             &sigma,
             seed,
@@ -114,13 +114,13 @@ fn incremental_quotient_is_bit_identical_to_scratch_over_mutation_sequences() {
                 accepting_percent: 40,
             },
         );
-        graph.quotient(&prev);
+        cache.quotient(&prev);
         let mut shape = shape_of(&prev);
         for step in 0..55u32 {
             mutate(&sigma, &mut shape, &mut rng);
             let next = build(&sigma, &shape);
-            graph.advance(&prev, &next);
-            let node = graph.node(&next).expect("advance interns the new version");
+            cache.advance(&prev, &next);
+            let node = cache.node(&next).expect("advance interns the new version");
             let incremental = node.quotient();
             assert_eq!(
                 *incremental,
@@ -129,16 +129,16 @@ fn incremental_quotient_is_bit_identical_to_scratch_over_mutation_sequences() {
             );
             // The rows themselves — not just the quotient built from
             // them — must land on the unique greatest fixpoint.
-            let mut fresh = InternedGraph::new();
+            let fresh = QuotientCache::new();
             fresh.quotient(&next);
             assert_eq!(
-                graph.node(&next).expect("still interned").rows(),
+                cache.node(&next).expect("still interned").rows(),
                 fresh.node(&next).expect("just interned").rows(),
                 "seed {seed} step {step}: incremental rows != scratch rows"
             );
             prev = next;
         }
-        let stats = graph.stats();
+        let stats = cache.stats();
         assert_eq!(stats.advances, 55, "seed {seed}: every step advanced");
         assert!(
             stats.clean_sccs > 0,
